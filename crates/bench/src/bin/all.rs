@@ -3,7 +3,9 @@
 //! (`results/BENCH_run.json`) on top of the per-experiment records.
 //! `--quick` shrinks sweeps for a fast smoke run.
 
+use fedroad_bench::report::RESULTS_DIR;
 use fedroad_bench::runreport::RunReport;
+use std::path::Path;
 
 /// One experiment entry point.
 type Experiment = fn(bool) -> fedroad_bench::report::Reporter;
@@ -34,26 +36,26 @@ fn main() {
     // The throughput sweep writes its own schema-checked document.
     let tp = fedroad_bench::throughput::run(quick);
     report.add_experiment("throughput", tp.batch.len() + 1);
-    match tp.save() {
+    match tp.save(Path::new(RESULTS_DIR)) {
         Ok(path) => println!("[throughput] records written to {}", path.display()),
         Err(e) => eprintln!("[throughput] failed validation: {e}"),
     }
     // So does the live-traffic update scenario.
     let lu = fedroad_bench::liveupdate::run(quick);
     report.add_experiment("live_traffic", 1);
-    match lu.save() {
+    match lu.save(Path::new(RESULTS_DIR)) {
         Ok(path) => println!("[live_traffic] records written to {}", path.display()),
         Err(e) => eprintln!("[live_traffic] failed validation: {e}"),
     }
     // And the comparison-kernel microbenchmark.
     let cb = fedroad_bench::comparebench::run(quick);
     report.add_experiment("compare_bench", cb.rows.len());
-    match cb.save() {
+    match cb.save(Path::new(RESULTS_DIR)) {
         Ok(path) => println!("[compare_bench] records written to {}", path.display()),
         Err(e) => eprintln!("[compare_bench] failed validation: {e}"),
     }
     report.set_snapshot(&fedroad_obs::snapshot());
-    match report.save() {
+    match report.save(Path::new(RESULTS_DIR)) {
         Ok(path) => println!("run report written to {}", path.display()),
         Err(e) => eprintln!("run report failed validation: {e}"),
     }

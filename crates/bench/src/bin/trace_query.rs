@@ -14,6 +14,7 @@
 //! observability smoke test.
 
 use fedroad_bench::obsdiff::validate_metrics_snapshot;
+use fedroad_bench::report::RESULTS_DIR;
 use fedroad_bench::runreport::{validate, QuerySummary, RunReport};
 use fedroad_bench::BENCH_SEED;
 use fedroad_core::jsonio::Value;
@@ -23,6 +24,7 @@ use fedroad_graph::traffic::{gen_silo_weights, CongestionLevel};
 use fedroad_graph::VertexId;
 use fedroad_mpc::SacBackend;
 use std::fs;
+use std::path::Path;
 use std::process::ExitCode;
 
 fn run() -> Result<(), String> {
@@ -100,7 +102,9 @@ fn run() -> Result<(), String> {
     report.add_experiment("trace_query", 1);
     report.set_snapshot(&fedroad_obs::snapshot());
     report.query = Some(QuerySummary::from_trace(&trace));
-    let path = report.save().map_err(|e| e.to_string())?;
+    let path = report
+        .save(Path::new(RESULTS_DIR))
+        .map_err(|e| e.to_string())?;
     let written = fs::read_to_string(&path).map_err(|e| e.to_string())?;
     let doc = Value::parse(&written).map_err(|e| format!("BENCH_run.json invalid: {e}"))?;
     validate(&doc).map_err(|e| format!("BENCH_run.json fails schema: {e}"))?;

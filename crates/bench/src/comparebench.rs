@@ -20,7 +20,7 @@
 //! schema tag and re-validated on save, like
 //! [`throughput`](crate::throughput).
 
-use crate::report::{heading, table};
+use crate::report::{heading, save_checked, table};
 use crate::BENCH_SEED;
 use fedroad_core::jsonio::{JsonError, Value};
 use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar};
@@ -29,8 +29,7 @@ use fedroad_mpc::pool::{PoolConfig, PooledDealer};
 use fedroad_mpc::Mesh;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha12Rng;
-use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Schema identifier of the comparison-kernel report. Bump the version
@@ -259,19 +258,10 @@ impl CompareReport {
         self.to_value().to_json()
     }
 
-    /// Writes the report to `results/BENCH_compare.json`, re-parsing and
+    /// Writes the report to `dir/BENCH_compare.json`, re-parsing and
     /// schema-checking the written bytes before reporting success.
-    pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join("BENCH_compare.json");
-        let text = self.to_json();
-        fs::write(&path, &text)?;
-        let doc = Value::parse(&text)
-            .map_err(|e| std::io::Error::other(format!("written report does not re-parse: {e}")))?;
-        validate(&doc)
-            .map_err(|e| std::io::Error::other(format!("written report fails its schema: {e}")))?;
-        Ok(path)
+    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        save_checked(dir, "BENCH_compare.json", &self.to_json(), validate)
     }
 }
 

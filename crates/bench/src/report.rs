@@ -1,8 +1,31 @@
 //! Human-readable tables plus machine-readable JSON records.
 
-use fedroad_core::jsonio::Value;
+use fedroad_core::jsonio::{JsonError, Value};
 use std::fs;
-use std::path::PathBuf;
+use std::io;
+use std::path::{Path, PathBuf};
+
+/// The directory the bench binaries write their reports to.
+pub const RESULTS_DIR: &str = "results";
+
+/// Writes a versioned report's `text` to `dir/file_name` (creating `dir`),
+/// then re-parses the text and checks it with the report's `validate`, so
+/// a document that fails its own schema is never reported as saved.
+pub fn save_checked(
+    dir: &Path,
+    file_name: &str,
+    text: &str,
+    validate: fn(&Value) -> Result<(), JsonError>,
+) -> io::Result<PathBuf> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(file_name);
+    fs::write(&path, text)?;
+    let doc = Value::parse(text)
+        .map_err(|e| io::Error::other(format!("written report does not re-parse: {e}")))?;
+    validate(&doc)
+        .map_err(|e| io::Error::other(format!("written report fails its schema: {e}")))?;
+    Ok(path)
+}
 
 /// A generic experiment record: one measured point of a figure or table.
 #[derive(Clone, Debug)]
@@ -67,8 +90,8 @@ impl Reporter {
     /// Writes all records as JSON to `results/<name>.json` (directory
     /// created on demand) and reports the path.
     pub fn save(&self, name: &str) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
+        let dir = Path::new(RESULTS_DIR);
+        fs::create_dir_all(dir)?;
         let path = dir.join(format!("{name}.json"));
         fs::write(&path, self.to_json())?;
         Ok(path)

@@ -18,7 +18,7 @@
 //! explicit schema tag and re-validated on save, like
 //! [`runreport`](crate::runreport).
 
-use crate::report::{heading, table};
+use crate::report::{heading, save_checked, table};
 use crate::setup::{self, DEFAULT_SILOS};
 use crate::workload::hop_bucketed_queries;
 use crate::BENCH_SEED;
@@ -28,8 +28,7 @@ use fedroad_graph::gen::RoadNetworkPreset;
 use fedroad_graph::traffic::CongestionLevel;
 use fedroad_graph::VertexId;
 use fedroad_mpc::{BatchScheduler, NetworkModel, SacBackend, SacEngine, SacStats, SchedulerStats};
-use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -269,19 +268,10 @@ impl ThroughputReport {
         self.to_value().to_json()
     }
 
-    /// Writes the report to `results/BENCH_throughput.json`, re-parsing
-    /// and schema-checking the written bytes before reporting success.
-    pub fn save(&self) -> std::io::Result<PathBuf> {
-        let dir = PathBuf::from("results");
-        fs::create_dir_all(&dir)?;
-        let path = dir.join("BENCH_throughput.json");
-        let text = self.to_json();
-        fs::write(&path, &text)?;
-        let doc = Value::parse(&text)
-            .map_err(|e| std::io::Error::other(format!("written report does not re-parse: {e}")))?;
-        validate(&doc)
-            .map_err(|e| std::io::Error::other(format!("written report fails its schema: {e}")))?;
-        Ok(path)
+    /// Writes the report to `dir/BENCH_throughput.json`, re-parsing and
+    /// schema-checking the written bytes before reporting success.
+    pub fn save(&self, dir: &Path) -> std::io::Result<PathBuf> {
+        save_checked(dir, "BENCH_throughput.json", &self.to_json(), validate)
     }
 }
 

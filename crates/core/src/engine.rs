@@ -306,23 +306,13 @@ impl QueryEngine {
         let _span = fedroad_obs::span("query.spsp");
         let outcome = {
             let num_silos = fed.num_silos();
-            let graph = fed.graph().clone();
             let mut potential = self.make_potential(fed, s, t);
             let (g, silos, engine) = fed.split_mut();
             let mut cmp = SacComparator::new(engine);
             if self.config.batch_rounds {
                 cmp = cmp.with_batching();
             }
-            self.run_spsp(
-                g,
-                silos,
-                num_silos,
-                s,
-                t,
-                potential.as_mut(),
-                &mut cmp,
-                &graph,
-            )
+            self.run_spsp(g, silos, num_silos, s, t, potential.as_mut(), &mut cmp)
         };
         let wall = start.elapsed().as_secs_f64();
         let mut stats = QueryStats::from_delta(&before, &fed.sac_cumulative_stats(), wall);
@@ -392,14 +382,12 @@ impl QueryEngine {
         t: VertexId,
         potential: &mut dyn FedPotential,
         cmp: &mut dyn JointComparator,
-        full_graph: &fedroad_graph::Graph,
     ) -> SpspOutcome {
         crate::executor::QueryParts {
             config: self.config,
             num_silos,
             graph,
             silos,
-            full_graph,
             fedch: self.fedch.as_ref(),
         }
         .run_spsp(s, t, potential, cmp)

@@ -59,10 +59,6 @@ pub(crate) struct QueryParts<'a> {
     /// Base-network view (pairs with `silos`).
     pub(crate) graph: &'a Graph,
     pub(crate) silos: &'a [SiloWeights],
-    /// Topology backing the shortcut view. Same graph content as `graph`;
-    /// a separate reference because the sequential path materializes it
-    /// from a clone to satisfy `split_mut` borrows.
-    pub(crate) full_graph: &'a Graph,
     pub(crate) fedch: Option<&'a FedChIndex>,
 }
 
@@ -77,7 +73,7 @@ impl QueryParts<'_> {
     ) -> SpspOutcome {
         match self.fedch {
             Some(index) => {
-                let view = FedChView::new(index, self.full_graph);
+                let view = FedChView::new(index, self.graph);
                 fed_spsp(
                     &view,
                     self.num_silos,
@@ -213,7 +209,6 @@ impl IndexSnapshot {
             num_silos: self.num_silos,
             graph: &self.graph,
             silos: &self.silos,
-            full_graph: &self.graph,
             fedch: self.fedch.as_deref(),
         }
     }

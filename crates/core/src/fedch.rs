@@ -49,6 +49,7 @@ use crate::partials::{JointComparator, PartialKey};
 use crate::view::{ArcVisitor, SearchView};
 use fedroad_graph::{ArcId, Direction, Graph, VertexId, Weight};
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -78,8 +79,8 @@ pub struct WeightChange {
     pub weight: Weight,
 }
 
-/// Statistics of the metric-independent phase (topology + first
-/// customization) — fixed for the lifetime of the index.
+/// Statistics of the metric-independent topology — fixed for the lifetime
+/// of the index.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct FedChStats {
     /// Total overlay arcs in the arena (original + shortcuts).
@@ -126,11 +127,39 @@ struct TopoArc {
     head: VertexId,
     /// Backing base-graph arc, when the pair exists in the input graph.
     orig: Option<ArcId>,
-    /// `min(rank(tail), rank(head))` — the customization processing level:
-    /// an arc's weight is final once every lower level is.
-    level: u32,
-    /// Lower triangles in middle-rank order (creation order).
-    triangles: Vec<Triangle>,
+}
+
+/// Compressed rows: row `r` is `items[offsets[r]..offsets[r + 1]]`, so all
+/// rows share one allocation.
+#[derive(Debug)]
+struct Csr<T> {
+    offsets: Vec<usize>,
+    items: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// Groups `(row, item)` pairs into `rows` rows by a counting sort;
+    /// within a row, items keep their order in `pairs`.
+    fn new(rows: usize, pairs: Vec<(usize, T)>) -> Self {
+        let mut offsets = vec![0; rows + 1];
+        for &(r, _) in &pairs {
+            offsets[r + 1] += 1;
+        }
+        for r in 1..=rows {
+            offsets[r] += offsets[r - 1];
+        }
+        let mut next = offsets.clone();
+        let mut items: Vec<T> = pairs.iter().map(|&(_, item)| item).collect();
+        for &(r, item) in &pairs {
+            items[next[r]] = item;
+            next[r] += 1;
+        }
+        Csr { offsets, items }
+    }
+
+    fn row(&self, r: usize) -> &[T] {
+        &self.items[self.offsets[r]..self.offsets[r + 1]]
+    }
 }
 
 /// The metric-independent half of the index: contraction order, overlay
@@ -142,21 +171,19 @@ pub struct FedChTopology {
     order: Vec<VertexId>,
     rank: Vec<u32>,
     core_size: usize,
-    /// Number of arcs in the base graph (sizes `orig_to_arena`).
-    num_base_arcs: usize,
     arcs: Vec<TopoArc>,
-    /// Upward forward adjacency: arena ids, sorted by head vertex.
-    up_out: Vec<Vec<u32>>,
-    /// Upward backward adjacency: arena ids, sorted by tail vertex.
-    up_in: Vec<Vec<u32>>,
-    /// Arena arcs with a triangle through this arc — who must be
-    /// recomputed when this arc's weight changes.
-    dependents: Vec<Vec<u32>>,
-    /// All arena ids sorted by `(level, id)` — the full customization
-    /// sweep order.
-    level_order: Vec<u32>,
-    /// Base `ArcId` → arena id (`None` for self-loops, which never enter
-    /// the overlay).
+    /// Lower triangles per arena arc, in middle-rank order (creation
+    /// order) — the fold order of customization.
+    tris: Csr<Triangle>,
+    /// Upward forward adjacency per vertex: arena ids, sorted by head.
+    up_out: Csr<u32>,
+    /// Upward backward adjacency per vertex: arena ids, sorted by tail.
+    up_in: Csr<u32>,
+    /// Per arena arc, the arcs with a triangle through it — who must be
+    /// recomputed when its weight changes.
+    dependents: Csr<u32>,
+    /// Base `ArcId` → arena id, one entry per base-graph arc (`None` for
+    /// self-loops, which never enter the overlay).
     orig_to_arena: Vec<Option<u32>>,
 }
 
@@ -171,12 +198,8 @@ impl FedChTopology {
         let n = graph.num_vertices();
         assert_eq!(order.len(), n);
         assert!((1..=n).contains(&core_size), "core must keep >= 1 vertex");
-        let mut rank = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            rank[v.index()] = r as u32;
-        }
-
         let mut arcs: Vec<TopoArc> = Vec::new();
+        let mut tris: Vec<(usize, Triangle)> = Vec::new();
         let mut orig_to_arena: Vec<Option<u32>> = vec![None; graph.num_arcs()];
         // Adjacency under construction: other endpoint → arena id. BTreeMap
         // keeps neighbourhood enumeration deterministic across runs.
@@ -187,27 +210,10 @@ impl FedChTopology {
                 if arc.head == v {
                     continue;
                 }
-                let id = match fwd[v.index()].get(&arc.head.0).copied() {
-                    // The generators guarantee simple graphs; a parallel
-                    // arc maps onto the same overlay pair (last wins).
-                    Some(id) => {
-                        arcs[id as usize].orig = Some(arc.id);
-                        id
-                    }
-                    None => {
-                        let id = arcs.len() as u32;
-                        arcs.push(TopoArc {
-                            tail: v,
-                            head: arc.head,
-                            orig: Some(arc.id),
-                            level: rank[v.index()].min(rank[arc.head.index()]),
-                            triangles: Vec::new(),
-                        });
-                        fwd[v.index()].insert(arc.head.0, id);
-                        bwd[arc.head.index()].insert(v.0, id);
-                        id
-                    }
-                };
+                // The generators guarantee simple graphs; a parallel arc
+                // maps onto the same overlay pair (last wins).
+                let id = intern(&mut arcs, &mut fwd, &mut bwd, v.0, arc.head.0);
+                arcs[id as usize].orig = Some(arc.id);
                 orig_to_arena[arc.id.index()] = Some(id);
             }
         }
@@ -230,95 +236,87 @@ impl FedChTopology {
                     if w == u {
                         continue;
                     }
-                    match fwd[u as usize].get(&w).copied() {
-                        Some(id) => {
-                            arcs[id as usize]
-                                .triangles
-                                .push(Triangle { middle: v, uv, vw })
-                        }
-                        None => {
-                            let id = arcs.len() as u32;
-                            arcs.push(TopoArc {
-                                tail: VertexId(u),
-                                head: VertexId(w),
-                                orig: None,
-                                level: rank[u as usize].min(rank[w as usize]),
-                                triangles: vec![Triangle { middle: v, uv, vw }],
-                            });
-                            fwd[u as usize].insert(w, id);
-                            bwd[w as usize].insert(u, id);
-                        }
-                    }
+                    let id = intern(&mut arcs, &mut fwd, &mut bwd, u, w);
+                    tris.push((id as usize, Triangle { middle: v, uv, vw }));
                 }
             }
         }
 
-        Self::finish(
-            order.to_vec(),
-            rank,
-            core_size,
-            graph.num_arcs(),
-            arcs,
-            orig_to_arena,
-        )
+        Self::finish(order.to_vec(), core_size, arcs, tris, orig_to_arena)
     }
 
-    /// Derives the redundant structures (up lists, dependents, sweep
-    /// order) from the arena — shared by [`Self::build`] and the JSON
-    /// restore path.
+    /// Derives the redundant structures (ranks, up lists, dependents)
+    /// from the arena — shared by [`Self::build`] and the JSON restore
+    /// path, which has checked every id it passes in.
     fn finish(
         order: Vec<VertexId>,
-        rank: Vec<u32>,
         core_size: usize,
-        num_base_arcs: usize,
         arcs: Vec<TopoArc>,
+        tris: Vec<(usize, Triangle)>,
         orig_to_arena: Vec<Option<u32>>,
     ) -> Self {
-        let n = order.len();
+        let (n, m) = (order.len(), arcs.len());
+        let mut rank = vec![0u32; n];
+        for (r, &v) in order.iter().enumerate() {
+            rank[v.index()] = r as u32;
+        }
         let core_floor = (n - core_size) as u32;
         // Membership in the up lists is a pure rank function: an arc is
         // upward-forward out of its tail when the head outranks it, and
         // core-core arcs appear in *both* lists (the uncontracted core is
         // crossed by A*, which needs full mutual adjacency).
-        let mut up_out: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut up_in: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let (mut outs, mut ins) = (Vec::new(), Vec::new());
         for (id, arc) in arcs.iter().enumerate() {
             let (rt, rh) = (rank[arc.tail.index()], rank[arc.head.index()]);
             let both_core = rt >= core_floor && rh >= core_floor;
             if rt < rh || both_core {
-                up_out[arc.tail.index()].push(id as u32);
+                outs.push((arc.tail.index(), id as u32));
             }
             if rh < rt || both_core {
-                up_in[arc.head.index()].push(id as u32);
+                ins.push((arc.head.index(), id as u32));
             }
         }
-        for list in up_out.iter_mut() {
-            list.sort_unstable_by_key(|&id| arcs[id as usize].head.0);
-        }
-        for list in up_in.iter_mut() {
-            list.sort_unstable_by_key(|&id| arcs[id as usize].tail.0);
-        }
-        let mut dependents: Vec<Vec<u32>> = vec![Vec::new(); arcs.len()];
-        for (id, arc) in arcs.iter().enumerate() {
-            for t in &arc.triangles {
-                dependents[t.uv as usize].push(id as u32);
-                dependents[t.vw as usize].push(id as u32);
+        outs.sort_unstable_by_key(|&(v, id)| (v, arcs[id as usize].head.0));
+        ins.sort_unstable_by_key(|&(v, id)| (v, arcs[id as usize].tail.0));
+        let tris = Csr::new(m, tris);
+        let mut dependents = Vec::with_capacity(2 * tris.items.len());
+        for id in 0..m {
+            for t in tris.row(id) {
+                dependents.push((t.uv as usize, id as u32));
+                dependents.push((t.vw as usize, id as u32));
             }
         }
-        let mut level_order: Vec<u32> = (0..arcs.len() as u32).collect();
-        level_order.sort_unstable_by_key(|&id| (arcs[id as usize].level, id));
         FedChTopology {
             order,
             rank,
             core_size,
-            num_base_arcs,
             arcs,
-            up_out,
-            up_in,
-            dependents,
-            level_order,
+            tris,
+            up_out: Csr::new(n, outs),
+            up_in: Csr::new(n, ins),
+            dependents: Csr::new(m, dependents),
             orig_to_arena,
         }
+    }
+
+    /// Arena ids of `v`'s upward arcs in direction `dir`, each paired with
+    /// its other endpoint.
+    fn up(&self, v: VertexId, dir: Direction) -> impl Iterator<Item = (u32, VertexId)> + '_ {
+        let (ids, forward) = match dir {
+            Direction::Forward => (self.up_out.row(v.index()), true),
+            Direction::Backward => (self.up_in.row(v.index()), false),
+        };
+        ids.iter().map(move |&id| {
+            let arc = &self.arcs[id as usize];
+            (id, if forward { arc.head } else { arc.tail })
+        })
+    }
+
+    /// `min(rank(tail), rank(head))` — arc `id`'s customization level: its
+    /// weight is final once every lower level is.
+    fn level(&self, id: u32) -> u32 {
+        let arc = &self.arcs[id as usize];
+        self.rank[arc.tail.index()].min(self.rank[arc.head.index()])
     }
 
     /// Number of overlay arcs in the arena.
@@ -333,13 +331,34 @@ impl FedChTopology {
 
     /// Total lower triangles — the full-customization work unit.
     pub fn num_triangles(&self) -> usize {
-        self.arcs.iter().map(|a| a.triangles.len()).sum()
+        self.tris.items.len()
     }
 
     /// Number of uncontracted core vertices.
     pub fn core_size(&self) -> usize {
         self.core_size
     }
+}
+
+/// The arena id of the overlay arc `tail → head`, appending a new arc
+/// (no base backing yet) to the arena and both adjacency maps when absent.
+fn intern(
+    arcs: &mut Vec<TopoArc>,
+    fwd: &mut [BTreeMap<u32, u32>],
+    bwd: &mut [BTreeMap<u32, u32>],
+    tail: u32,
+    head: u32,
+) -> u32 {
+    *fwd[tail as usize].entry(head).or_insert_with(|| {
+        let id = arcs.len() as u32;
+        arcs.push(TopoArc {
+            tail: VertexId(tail),
+            head: VertexId(head),
+            orig: None,
+        });
+        bwd[head as usize].insert(tail, id);
+        id
+    })
 }
 
 /// The federated contraction-hierarchy index: a shared metric-independent
@@ -352,17 +371,18 @@ impl FedChTopology {
 #[derive(Clone, Debug)]
 pub struct FedChIndex {
     topo: Arc<FedChTopology>,
-    /// Per-arena-arc base weights (empty for pure shortcuts): the inputs
-    /// customization folds triangles against.
-    base: Vec<Vec<Weight>>,
-    /// Customized per-silo weights, arena-indexed.
-    weights: Vec<Vec<Weight>>,
+    /// Row width of the weight slabs: the silo count (1 in a silo view).
+    stride: usize,
+    /// Base weights, arc-major (see [`span`]): the inputs customization
+    /// folds triangles against. Pure shortcuts' rows are unused zeros.
+    base: Vec<Weight>,
+    /// Customized per-silo weights, arc-major.
+    weights: Vec<Weight>,
     /// Winning middle per arena arc (`None`: the base arc wins).
     middle: Vec<Option<VertexId>>,
     /// Bumped once per effective customization batch; zero-delta batches
     /// leave it untouched. Snapshot publishers tag query results with it.
     epoch: u64,
-    stats: FedChStats,
     last_customize: CustomizeStats,
 }
 
@@ -391,25 +411,21 @@ impl FedChIndex {
         silos: &[SiloWeights],
         cmp: &mut dyn JointComparator,
     ) -> Self {
-        let m = topo.arcs.len();
-        let mut base: Vec<Vec<Weight>> = vec![Vec::new(); m];
-        for (id, arc) in topo.arcs.iter().enumerate() {
-            if let Some(a) = arc.orig {
-                base[id] = silos.iter().map(|s| s.weight(a)).collect();
+        let (m, stride) = (topo.arcs.len(), silos.len());
+        let mut base = Vec::with_capacity(m * stride);
+        for arc in &topo.arcs {
+            match arc.orig {
+                Some(a) => base.extend(silos.iter().map(|s| s.weight(a))),
+                None => base.resize(base.len() + stride, 0),
             }
         }
-        let stats = FedChStats {
-            overlay_arcs: m as u64,
-            shortcuts: topo.num_shortcuts() as u64,
-            triangles: topo.num_triangles() as u64,
-        };
         let mut index = FedChIndex {
             topo,
+            stride,
             base,
-            weights: vec![Vec::new(); m],
+            weights: vec![0; m * stride],
             middle: vec![None; m],
             epoch: 0,
-            stats,
             last_customize: CustomizeStats::default(),
         };
         index.last_customize = index.customize_full(cmp);
@@ -423,16 +439,19 @@ impl FedChIndex {
         let start = Instant::now();
         let topo = Arc::clone(&self.topo);
         let mut stats = CustomizeStats::default();
+        let (mut best, mut cand) = (PartialKey::new(), PartialKey::new());
+        // Level order, ties by id: every arc after all of its inputs.
+        let mut sweep: Vec<u32> = (0..topo.arcs.len() as u32).collect();
+        sweep.sort_unstable_by_key(|&id| (topo.level(id), id));
         let mut last_level = None;
-        for &id in &topo.level_order {
-            let arc = &topo.arcs[id as usize];
-            let (w, m) = recompute_arc(arc, &self.base[id as usize], &self.weights, cmp);
-            self.weights[id as usize] = w;
-            self.middle[id as usize] = m;
+        for id in sweep {
+            self.middle[id as usize] = self.recompute_arc(id, &mut best, &mut cand, cmp);
+            store_key(&mut self.weights[span(self.stride, id)], &best);
             stats.touched += 1;
-            if last_level != Some(arc.level) {
+            let level = topo.level(id);
+            if last_level != Some(level) {
                 stats.cone_depth += 1;
-                last_level = Some(arc.level);
+                last_level = Some(level);
             }
         }
         stats.changed = stats.touched;
@@ -466,35 +485,32 @@ impl FedChIndex {
             let Some(Some(id)) = topo.orig_to_arena.get(ch.arc.index()).copied() else {
                 continue; // self-loops never enter the overlay
             };
-            let slot = &mut self.base[id as usize][ch.silo];
+            let slot = &mut self.base[span(self.stride, id)][ch.silo];
             if *slot == ch.weight {
                 continue; // zero-delta: nothing dirtied, epoch untouched
             }
             *slot = ch.weight;
             stats.applied += 1;
-            dirty
-                .entry(topo.arcs[id as usize].level)
-                .or_default()
-                .insert(id);
+            dirty.entry(topo.level(id)).or_default().insert(id);
         }
         // Triangle inputs sit at strictly lower levels than their
         // dependents, so draining levels in ascending order recomputes
         // every arc after all of its inputs are final.
+        let (mut best, mut cand) = (PartialKey::new(), PartialKey::new());
         while let Some((_, ids)) = dirty.pop_first() {
             stats.cone_depth += 1;
             for id in ids {
                 stats.touched += 1;
-                let arc = &topo.arcs[id as usize];
-                let (w, m) = recompute_arc(arc, &self.base[id as usize], &self.weights, cmp);
-                if w != self.weights[id as usize] || m != self.middle[id as usize] {
-                    self.weights[id as usize] = w;
-                    self.middle[id as usize] = m;
+                let mid = self.recompute_arc(id, &mut best, &mut cand, cmp);
+                let row = &mut self.weights[span(self.stride, id)];
+                if row.iter().map(|&w| w as i64).ne(best.iter().copied())
+                    || mid != self.middle[id as usize]
+                {
+                    store_key(row, &best);
+                    self.middle[id as usize] = mid;
                     stats.changed += 1;
-                    for &dep in &topo.dependents[id as usize] {
-                        dirty
-                            .entry(topo.arcs[dep as usize].level)
-                            .or_default()
-                            .insert(dep);
+                    for &dep in topo.dependents.row(id as usize) {
+                        dirty.entry(topo.level(dep)).or_default().insert(dep);
                     }
                 }
             }
@@ -508,6 +524,44 @@ impl FedChIndex {
         stats
     }
 
+    /// Recomputes arc `id`'s customized weight into `best` and returns its
+    /// winning middle: the base weight (when backed by an original arc)
+    /// folded with every lower triangle's via cost, each keep-minimum
+    /// decided by `cmp`. The fold order is fixed (base first, triangles in
+    /// creation order), so identical inputs always reproduce identical
+    /// outputs — the bit-identity invariant behind partial updates. Keys
+    /// are the weights cast to `i64`; [`store_key`] casts them back.
+    fn recompute_arc(
+        &self,
+        id: u32,
+        best: &mut PartialKey,
+        cand: &mut PartialKey,
+        cmp: &mut dyn JointComparator,
+    ) -> Option<VertexId> {
+        let via = |key: &mut PartialKey, t: &Triangle| {
+            key.clear();
+            let (uv, vw) = (self.row(t.uv), self.row(t.vw));
+            key.extend(uv.iter().zip(vw).map(|(a, b)| (a + b) as i64));
+        };
+        let mut tris = self.topo.tris.row(id as usize).iter();
+        let mut mid = None;
+        best.clear();
+        if self.topo.arcs[id as usize].orig.is_some() {
+            best.extend(self.base[span(self.stride, id)].iter().map(|&w| w as i64));
+        } else if let Some(t) = tris.next() {
+            via(best, t);
+            mid = Some(t.middle);
+        }
+        for t in tris {
+            via(cand, t);
+            if cmp.less(cand, best) {
+                std::mem::swap(best, cand);
+                mid = Some(t.middle);
+            }
+        }
+        mid
+    }
+
     /// Updates the index after `changed_arcs` of the base graph changed
     /// weight (on any silo): reads the silos' current weights for those
     /// arcs and [`customize`](Self::customize)s. The traffic-refresh entry
@@ -519,7 +573,7 @@ impl FedChIndex {
         changed_arcs: &[ArcId],
         cmp: &mut dyn JointComparator,
     ) -> CustomizeStats {
-        debug_assert!(graph.num_arcs() == self.topo.num_base_arcs);
+        debug_assert!(graph.num_arcs() == self.topo.orig_to_arena.len());
         let mut changes = Vec::with_capacity(changed_arcs.len() * silos.len());
         for &a in changed_arcs {
             for (p, s) in silos.iter().enumerate() {
@@ -557,7 +611,11 @@ impl FedChIndex {
 
     /// Topology statistics (fixed at build time).
     pub fn stats(&self) -> FedChStats {
-        self.stats
+        FedChStats {
+            overlay_arcs: self.topo.num_overlay_arcs() as u64,
+            shortcuts: self.topo.num_shortcuts() as u64,
+            triangles: self.topo.num_triangles() as u64,
+        }
     }
 
     /// Statistics of the most recent customization run (the full build
@@ -569,56 +627,59 @@ impl FedChIndex {
     /// Upward forward arcs of `v`, materialized (test/bench hook — queries
     /// iterate the arena through [`FedChView`] instead).
     pub fn up_out(&self, v: VertexId) -> Vec<FedChArc> {
-        self.topo.up_out[v.index()]
-            .iter()
-            .map(|&id| FedChArc {
-                head: self.topo.arcs[id as usize].head,
-                weights: self.weights[id as usize].clone(),
-                middle: self.middle[id as usize],
-            })
-            .collect()
+        self.materialize(v, Direction::Forward)
     }
 
     /// Upward backward arcs of `v`, materialized (test/bench hook).
     pub fn up_in(&self, v: VertexId) -> Vec<FedChArc> {
-        self.topo.up_in[v.index()]
-            .iter()
-            .map(|&id| FedChArc {
-                head: self.topo.arcs[id as usize].tail,
-                weights: self.weights[id as usize].clone(),
-                middle: self.middle[id as usize],
-            })
-            .collect()
+        self.materialize(v, Direction::Backward)
+    }
+
+    fn materialize(&self, v: VertexId, dir: Direction) -> Vec<FedChArc> {
+        let arc = |(id, head)| FedChArc {
+            head,
+            weights: self.row(id).to_vec(),
+            middle: self.middle[id as usize],
+        };
+        self.topo.up(v, dir).map(arc).collect()
+    }
+
+    /// Arc `id`'s customized per-silo weights.
+    fn row(&self, id: u32) -> &[Weight] {
+        &self.weights[span(self.stride, id)]
     }
 
     /// Serializes the index to JSON (persistence between sessions).
     pub fn to_json(&self) -> Result<String, JsonError> {
-        let weight_rows = |rows: &[Vec<Weight>]| -> Value {
-            Value::Arr(rows.iter().map(|row| weights_to_value(row)).collect())
+        let topo = &*self.topo;
+        let ids = 0..topo.arcs.len() as u32;
+        let base_row = |id: u32| match topo.arcs[id as usize].orig {
+            Some(_) => weights_to_value(&self.base[span(self.stride, id)]),
+            None => Value::Arr(Vec::new()),
         };
         let doc = Value::Obj(vec![
             (
                 "order".into(),
-                Value::Arr(
-                    self.topo
-                        .order
-                        .iter()
-                        .map(|v| Value::Int(v.0 as i128))
-                        .collect(),
-                ),
+                Value::Arr(topo.order.iter().map(|v| Value::Int(v.0 as i128)).collect()),
             ),
-            ("core_size".into(), Value::Int(self.topo.core_size as i128)),
+            ("core_size".into(), Value::Int(topo.core_size as i128)),
             (
                 "num_base_arcs".into(),
-                Value::Int(self.topo.num_base_arcs as i128),
+                Value::Int(topo.orig_to_arena.len() as i128),
             ),
             ("epoch".into(), Value::Int(self.epoch as i128)),
             (
                 "arcs".into(),
-                Value::Arr(self.topo.arcs.iter().map(topo_arc_to_value).collect()),
+                Value::Arr(ids.clone().map(|id| topo_arc_to_value(topo, id)).collect()),
             ),
-            ("base".into(), weight_rows(&self.base)),
-            ("weights".into(), weight_rows(&self.weights)),
+            (
+                "base".into(),
+                Value::Arr(ids.clone().map(base_row).collect()),
+            ),
+            (
+                "weights".into(),
+                Value::Arr(ids.map(|id| weights_to_value(self.row(id))).collect()),
+            ),
             (
                 "middle".into(),
                 Value::Arr(
@@ -635,7 +696,9 @@ impl FedChIndex {
         Ok(doc.to_json())
     }
 
-    /// Restores an index serialized with [`Self::to_json`].
+    /// Restores an index serialized with [`Self::to_json`], rejecting a
+    /// document whose ids, ranks or row widths are inconsistent with
+    /// [`JsonError::Schema`].
     pub fn from_json(json: &str) -> Result<Self, JsonError> {
         let doc = Value::parse(json)?;
         let order: Vec<VertexId> = doc
@@ -644,150 +707,134 @@ impl FedChIndex {
             .iter()
             .map(|v| v.as_u32().map(VertexId))
             .collect::<Result<_, _>>()?;
+        let n = order.len();
         let core_size = doc.get("core_size")?.as_u64()? as usize;
+        if !(1..=n).contains(&core_size) {
+            return Err(schema("core_size must lie in 1..=n"));
+        }
         let num_base_arcs = doc.get("num_base_arcs")?.as_u64()? as usize;
         let epoch = doc.get("epoch")?.as_u64()?;
-        let arcs: Vec<TopoArc> = doc
-            .get("arcs")?
-            .as_arr()?
-            .iter()
-            .map(topo_arc_from_value)
-            .collect::<Result<_, _>>()?;
-        let n = order.len();
-        let mut rank = vec![0u32; n];
-        for (r, &v) in order.iter().enumerate() {
-            let slot = rank
-                .get_mut(v.index())
-                .ok_or_else(|| JsonError::Schema("order vertex out of range".into()))?;
-            *slot = r as u32;
+        let mut seen = vec![false; n];
+        for v in &order {
+            match seen.get_mut(v.index()) {
+                Some(slot) if !*slot => *slot = true,
+                _ => return Err(schema("order must be a permutation of 0..n")),
+            }
         }
-        // Levels and the orig mapping are redundant with the arena; rebuild
-        // both rather than trusting the document.
-        let mut arcs = arcs;
+        // Levels, the orig mapping and the adjacency are redundant with
+        // the arena; rebuild them rather than trusting the document.
+        let arc_values = doc.get("arcs")?.as_arr()?;
+        let m = arc_values.len();
+        let mut arcs = Vec::with_capacity(m);
+        let mut tris = Vec::new();
         let mut orig_to_arena: Vec<Option<u32>> = vec![None; num_base_arcs];
-        for (id, arc) in arcs.iter_mut().enumerate() {
-            let (rt, rh) = (
-                *rank
-                    .get(arc.tail.index())
-                    .ok_or_else(|| JsonError::Schema("arc tail out of range".into()))?,
-                *rank
-                    .get(arc.head.index())
-                    .ok_or_else(|| JsonError::Schema("arc head out of range".into()))?,
-            );
-            arc.level = rt.min(rh);
+        for (id, v) in arc_values.iter().enumerate() {
+            let arc = TopoArc {
+                tail: vertex_from(v.get("tail")?, n)?,
+                head: vertex_from(v.get("head")?, n)?,
+                orig: match v.get("orig")? {
+                    Value::Null => None,
+                    a => Some(ArcId(a.as_u32()?)),
+                },
+            };
             if let Some(a) = arc.orig {
                 let slot = orig_to_arena
                     .get_mut(a.index())
-                    .ok_or_else(|| JsonError::Schema("orig arc out of range".into()))?;
+                    .ok_or_else(|| schema("orig arc out of range"))?;
                 *slot = Some(id as u32);
             }
+            let arc_tris = v.get("tris")?.as_arr()?;
+            if arc.orig.is_none() && arc_tris.is_empty() {
+                return Err(schema("a shortcut needs a triangle"));
+            }
+            for t in arc_tris {
+                let [middle, uv, vw] = t.as_arr()? else {
+                    return Err(schema("expected [middle, uv, vw] triple"));
+                };
+                let middle = vertex_from(middle, n)?;
+                let (uv, vw) = (id_below(uv, m)?, id_below(vw, m)?);
+                tris.push((id, Triangle { middle, uv, vw }));
+            }
+            arcs.push(arc);
         }
-        let weight_rows = |key: &str| -> Result<Vec<Vec<Weight>>, JsonError> {
-            doc.get(key)?
-                .as_arr()?
-                .iter()
-                .map(weights_from_value)
-                .collect()
+        let (base_rows, weight_rows, middle_values) = (
+            doc.get("base")?.as_arr()?,
+            doc.get("weights")?.as_arr()?,
+            doc.get("middle")?.as_arr()?,
+        );
+        if base_rows.len() != m || weight_rows.len() != m || middle_values.len() != m {
+            return Err(schema("weight/middle rows must match the arena"));
+        }
+        let stride = match weight_rows.first() {
+            Some(r) => r.as_arr()?.len(),
+            None => 1,
         };
-        let base = weight_rows("base")?;
-        let weights = weight_rows("weights")?;
-        let middle: Vec<Option<VertexId>> = doc
-            .get("middle")?
-            .as_arr()?
+        if stride == 0 {
+            return Err(schema("weight rows must not be empty"));
+        }
+        // Rows grow as they are read: `stride` comes from the document, so
+        // `m * stride` is no safe allocation size before every row is checked.
+        let (mut base, mut weights) = (Vec::new(), Vec::new());
+        for (arc, (b, w)) in arcs.iter().zip(base_rows.iter().zip(weight_rows)) {
+            read_row(w, stride, &mut weights)?;
+            if arc.orig.is_some() {
+                read_row(b, stride, &mut base)?;
+            } else {
+                read_row(b, 0, &mut base)?;
+                base.resize(base.len() + stride, 0);
+            }
+        }
+        let middle = middle_values
             .iter()
             .map(|m| match m {
                 Value::Null => Ok(None),
-                v => v.as_u32().map(|x| Some(VertexId(x))),
+                v => vertex_from(v, n).map(Some),
             })
             .collect::<Result<_, _>>()?;
-        if base.len() != arcs.len() || weights.len() != arcs.len() || middle.len() != arcs.len() {
-            return Err(JsonError::Schema(
-                "weight/middle rows must match the arena".into(),
-            ));
-        }
-        let topo =
-            FedChTopology::finish(order, rank, core_size, num_base_arcs, arcs, orig_to_arena);
-        let stats = FedChStats {
-            overlay_arcs: topo.arcs.len() as u64,
-            shortcuts: topo.num_shortcuts() as u64,
-            triangles: topo.num_triangles() as u64,
-        };
+        let topo = FedChTopology::finish(order, core_size, arcs, tris, orig_to_arena);
         Ok(FedChIndex {
             topo: Arc::new(topo),
+            stride,
             base,
             weights,
             middle,
             epoch,
-            stats,
             last_customize: CustomizeStats::default(),
         })
     }
 
     /// Extracts silo `p`'s view of the index: identical structure, but
-    /// every partial-weight vector reduced to that silo's single column —
+    /// every partial-weight row reduced to that silo's single column —
     /// what a real silo would persist locally.
     pub fn silo_view(&self, p: usize) -> FedChIndex {
-        let strip = |rows: &[Vec<Weight>]| -> Vec<Vec<Weight>> {
-            rows.iter()
-                .map(|row| {
-                    if row.is_empty() {
-                        Vec::new()
-                    } else {
-                        vec![row[p]]
-                    }
-                })
-                .collect()
+        let column = |slab: &[Weight]| -> Vec<Weight> {
+            let ids = 0..self.topo.arcs.len() as u32;
+            ids.map(|id| slab[span(self.stride, id)][p]).collect()
         };
         FedChIndex {
             topo: Arc::clone(&self.topo),
-            base: strip(&self.base),
-            weights: strip(&self.weights),
+            stride: 1,
+            base: column(&self.base),
+            weights: column(&self.weights),
             middle: self.middle.clone(),
             epoch: self.epoch,
-            stats: self.stats,
             last_customize: self.last_customize,
         }
     }
 }
 
-/// Recomputes one arc's customized weight: the base weight (when backed by
-/// an original arc) folded with every lower triangle's via cost, each
-/// keep-minimum decided by `cmp`. The fold order is fixed (base first,
-/// triangles in creation order), so identical inputs always reproduce
-/// identical outputs — the bit-identity invariant behind partial updates.
-fn recompute_arc(
-    arc: &TopoArc,
-    base: &[Weight],
-    weights: &[Vec<Weight>],
-    cmp: &mut dyn JointComparator,
-) -> (Vec<Weight>, Option<VertexId>) {
-    let via = |t: &Triangle| -> Vec<Weight> {
-        weights[t.uv as usize]
-            .iter()
-            .zip(&weights[t.vw as usize])
-            .map(|(a, b)| a + b)
-            .collect()
-    };
-    let mut tris = arc.triangles.iter();
-    let (mut best, mut mid) = if !base.is_empty() {
-        (base.to_vec(), None)
-    } else if let Some(t) = tris.next() {
-        (via(t), Some(t.middle))
-    } else {
-        // Unreachable by construction (every overlay arc is original or
-        // carries a triangle); keep the hot path panic-free regardless.
-        return (Vec::new(), None);
-    };
-    for t in tris {
-        let cand = via(t);
-        let ck: PartialKey = cand.iter().map(|&x| x as i64).collect();
-        let bk: PartialKey = best.iter().map(|&x| x as i64).collect();
-        if cmp.less(&ck, &bk) {
-            best = cand;
-            mid = Some(t.middle);
-        }
+/// Where arc `id`'s row lies in an arc-major slab of row width `stride`.
+fn span(stride: usize, id: u32) -> Range<usize> {
+    let start = id as usize * stride;
+    start..start + stride
+}
+
+/// Writes a fold result back as weights (the inverse of the `as i64` key
+/// cast, so the round trip is bit-exact).
+fn store_key(row: &mut [Weight], key: &[i64]) {
+    for (w, &k) in row.iter_mut().zip(key) {
+        *w = k as Weight;
     }
-    (best, mid)
 }
 
 /// Emits the customization telemetry: epoch gauge, cone counters, and the
@@ -805,11 +852,38 @@ fn weights_to_value(weights: &[Weight]) -> Value {
     Value::Arr(weights.iter().map(|&w| Value::Int(w as i128)).collect())
 }
 
-fn weights_from_value(v: &Value) -> Result<Vec<Weight>, JsonError> {
-    v.as_arr()?.iter().map(Value::as_u64).collect()
+fn schema(msg: &str) -> JsonError {
+    JsonError::Schema(msg.into())
 }
 
-fn topo_arc_to_value(arc: &TopoArc) -> Value {
+/// Appends a persisted weight row to `slab`, which must hold `width` entries.
+fn read_row(v: &Value, width: usize, slab: &mut Vec<Weight>) -> Result<(), JsonError> {
+    let row = v.as_arr()?;
+    if row.len() != width {
+        return Err(schema("weight row has the wrong width"));
+    }
+    for w in row {
+        slab.push(w.as_u64()?);
+    }
+    Ok(())
+}
+
+/// A persisted vertex or arena id, which must be below `bound`.
+fn id_below(v: &Value, bound: usize) -> Result<u32, JsonError> {
+    let id = v.as_u32()?;
+    if (id as usize) < bound {
+        Ok(id)
+    } else {
+        Err(schema("id out of range"))
+    }
+}
+
+fn vertex_from(v: &Value, n: usize) -> Result<VertexId, JsonError> {
+    id_below(v, n).map(VertexId)
+}
+
+fn topo_arc_to_value(topo: &FedChTopology, id: u32) -> Value {
+    let arc = &topo.arcs[id as usize];
     Value::Obj(vec![
         ("tail".into(), Value::Int(arc.tail.0 as i128)),
         ("head".into(), Value::Int(arc.head.0 as i128)),
@@ -823,7 +897,8 @@ fn topo_arc_to_value(arc: &TopoArc) -> Value {
         (
             "tris".into(),
             Value::Arr(
-                arc.triangles
+                topo.tris
+                    .row(id as usize)
                     .iter()
                     .map(|t| {
                         Value::Arr(vec![
@@ -838,94 +913,41 @@ fn topo_arc_to_value(arc: &TopoArc) -> Value {
     ])
 }
 
-fn topo_arc_from_value(v: &Value) -> Result<TopoArc, JsonError> {
-    let tri = |t: &Value| -> Result<Triangle, JsonError> {
-        match t.as_arr()? {
-            [m, uv, vw] => Ok(Triangle {
-                middle: VertexId(m.as_u32()?),
-                uv: uv.as_u32()?,
-                vw: vw.as_u32()?,
-            }),
-            _ => Err(JsonError::Schema("expected [middle, uv, vw] triple".into())),
-        }
-    };
-    Ok(TopoArc {
-        tail: VertexId(v.get("tail")?.as_u32()?),
-        head: VertexId(v.get("head")?.as_u32()?),
-        orig: match v.get("orig")? {
-            Value::Null => None,
-            a => Some(ArcId(a.as_u32()?)),
-        },
-        level: 0, // rebuilt from ranks by the caller
-        triangles: v
-            .get("tris")?
-            .as_arr()?
-            .iter()
-            .map(tri)
-            .collect::<Result<_, _>>()?,
-    })
-}
-
 /// [`SearchView`] over the federated hierarchy's upward graphs — plugging
 /// this into [`crate::spsp::fed_spsp`] gives the paper's "+Fed-Shortcut"
 /// hierarchical bidirectional search.
 pub struct FedChView<'a> {
     index: &'a FedChIndex,
-    num_vertices: usize,
 }
 
 impl<'a> FedChView<'a> {
-    /// Wraps a built index.
+    /// Wraps a built index over `graph`, the network it was built from.
     pub fn new(index: &'a FedChIndex, graph: &Graph) -> Self {
-        FedChView {
-            index,
-            num_vertices: graph.num_vertices(),
-        }
+        debug_assert_eq!(graph.num_vertices(), index.topo.order.len());
+        FedChView { index }
     }
 }
 
 impl SearchView for FedChView<'_> {
     fn expand(&self, v: VertexId, dir: Direction, f: &mut ArcVisitor<'_>) {
-        let topo = &*self.index.topo;
-        match dir {
-            Direction::Forward => {
-                for &id in &topo.up_out[v.index()] {
-                    f(
-                        topo.arcs[id as usize].head,
-                        &self.index.weights[id as usize],
-                        self.index.middle[id as usize],
-                    );
-                }
-            }
-            Direction::Backward => {
-                for &id in &topo.up_in[v.index()] {
-                    f(
-                        topo.arcs[id as usize].tail,
-                        &self.index.weights[id as usize],
-                        self.index.middle[id as usize],
-                    );
-                }
-            }
+        for (id, other) in self.index.topo.up(v, dir) {
+            f(other, self.index.row(id), self.index.middle[id as usize]);
         }
     }
 
     fn arc_middle(&self, tail: VertexId, head: VertexId) -> Option<Option<VertexId>> {
-        let topo = &*self.index.topo;
-        if self.index.rank(tail) < self.index.rank(head) {
-            topo.up_out[tail.index()]
-                .iter()
-                .find(|&&id| topo.arcs[id as usize].head == head)
-                .map(|&id| self.index.middle[id as usize])
+        let (from, dir, to) = if self.index.rank(tail) < self.index.rank(head) {
+            (tail, Direction::Forward, head)
         } else {
-            topo.up_in[head.index()]
-                .iter()
-                .find(|&&id| topo.arcs[id as usize].tail == tail)
-                .map(|&id| self.index.middle[id as usize])
-        }
+            (head, Direction::Backward, tail)
+        };
+        let mut arcs = self.index.topo.up(from, dir);
+        arcs.find(|&(_, v)| v == to)
+            .map(|(id, _)| self.index.middle[id as usize])
     }
 
     fn num_vertices(&self) -> usize {
-        self.num_vertices
+        self.index.topo.order.len()
     }
 
     fn bidirectional_arc_coverage(&self) -> bool {
@@ -1198,6 +1220,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod hierarchy_property_tests {
     use super::*;
     use crate::federation::{Federation, FederationConfig};
@@ -1272,6 +1295,7 @@ mod hierarchy_property_tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod persistence_tests {
     use super::*;
     use crate::federation::{Federation, FederationConfig};

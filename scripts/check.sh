@@ -79,7 +79,21 @@ echo "==> differential token-vs-AST gate"
 cargo run -q -p fedroad-lint -- --differential
 
 echo "==> cargo test -q"
+# Tests must not write into the source tree (reports go to temp dirs).
+# Comparing before/after keeps the check usable on a tree with local edits.
+tree_state() {
+  git status --porcelain
+  git diff
+}
+tree_before=$(tree_state)
 cargo test -q
+
+echo "==> the test run left the tree as it found it"
+if [ "$(tree_state)" != "$tree_before" ]; then
+  echo "error: cargo test changed the working tree:" >&2
+  git status --porcelain >&2
+  exit 1
+fi
 
 if [ "$FAST" = 1 ]; then
   echo "==> --fast: comparison-kernel microbench smoke (quick)"
