@@ -265,20 +265,6 @@ impl CompareReport {
     }
 }
 
-fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)?.as_u64()
-}
-
-fn expect_f64(doc: &Value, key: &str) -> Result<f64, JsonError> {
-    match doc.get(key)? {
-        Value::Float(x) => Ok(*x),
-        Value::Int(i) => Ok(*i as f64),
-        other => Err(JsonError::Schema(format!(
-            "field `{key}` must be a number, found {other:?}"
-        ))),
-    }
-}
-
 fn validate_row(row: &Value) -> Result<(), JsonError> {
     for key in [
         "batch",
@@ -288,9 +274,9 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
         "edabits",
         "triple_words",
     ] {
-        expect_u64(row, key)?;
+        row.get(key)?.as_u64()?;
     }
-    if expect_u64(row, "batch")? == 0 {
+    if row.get("batch")?.as_u64()? == 0 {
         return Err(JsonError::Schema("row has batch width 0".into()));
     }
     for key in [
@@ -300,7 +286,7 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
         "vector_speedup",
         "pooled_speedup",
     ] {
-        let x = expect_f64(row, key)?;
+        let x = row.get(key)?.as_f64()?;
         if !x.is_finite() || x <= 0.0 {
             return Err(JsonError::Schema(format!(
                 "field `{key}` must be finite and positive, found {x}"
@@ -320,7 +306,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
             "schema mismatch: expected {COMPARE_SCHEMA:?}, found {schema:?}"
         )));
     }
-    expect_u64(doc, "seed")?;
+    doc.get("seed")?.as_u64()?;
     match doc.get("quick")? {
         Value::Bool(_) => {}
         other => {
@@ -329,7 +315,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
             )))
         }
     }
-    let parties = expect_u64(doc, "parties")?;
+    let parties = doc.get("parties")?.as_u64()?;
     if parties < 2 {
         return Err(JsonError::Schema(format!(
             "field `parties` must be at least 2, found {parties}"

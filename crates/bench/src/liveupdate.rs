@@ -315,20 +315,6 @@ impl UpdateReport {
     }
 }
 
-fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)?.as_u64()
-}
-
-fn expect_f64(doc: &Value, key: &str) -> Result<f64, JsonError> {
-    match doc.get(key)? {
-        Value::Float(x) => Ok(*x),
-        Value::Int(i) => Ok(*i as f64),
-        other => Err(JsonError::Schema(format!(
-            "field `{key}` must be a number, found {other:?}"
-        ))),
-    }
-}
-
 /// Validates a parsed document against the `fedroad.bench-update.v1`
 /// schema: tag, run parameters, deterministic counters, and finite
 /// non-negative rate/latency fields.
@@ -339,7 +325,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
             "schema mismatch: expected {UPDATE_SCHEMA:?}, found {schema:?}"
         )));
     }
-    expect_u64(doc, "seed")?;
+    doc.get("seed")?.as_u64()?;
     match doc.get("quick")? {
         Value::Bool(_) => {}
         other => {
@@ -356,7 +342,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
         "touched_shortcuts",
         "changed_shortcuts",
     ] {
-        expect_u64(doc, key)?;
+        doc.get(key)?.as_u64()?;
     }
     for key in [
         "build_s",
@@ -368,14 +354,14 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
         "live_p50_s",
         "degradation",
     ] {
-        let x = expect_f64(doc, key)?;
+        let x = doc.get(key)?.as_f64()?;
         if !x.is_finite() || x < 0.0 {
             return Err(JsonError::Schema(format!(
                 "field `{key}` must be finite and non-negative, found {x}"
             )));
         }
     }
-    if expect_u64(doc, "epochs")? > expect_u64(doc, "ticks")? {
+    if doc.get("epochs")?.as_u64()? > doc.get("ticks")?.as_u64()? {
         return Err(JsonError::Schema(
             "epochs cannot exceed ticks (one batch per tick)".into(),
         ));

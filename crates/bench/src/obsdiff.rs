@@ -185,15 +185,6 @@ fn diff_bench_run(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), 
 
 fn row_metrics(row: &Value) -> Result<Vec<(&'static str, f64, Worse, bool)>, JsonError> {
     let u = |key: &str| -> Result<f64, JsonError> { Ok(row.get(key)?.as_u64()? as f64) };
-    let f = |key: &str| -> Result<f64, JsonError> {
-        match row.get(key)? {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(JsonError::Schema(format!(
-                "field `{key}` must be a number, found {other:?}"
-            ))),
-        }
-    };
     Ok(vec![
         // Deterministic protocol accounting: hard.
         (
@@ -206,7 +197,7 @@ fn row_metrics(row: &Value) -> Result<Vec<(&'static str, f64, Worse, bool)>, Jso
         ("net_bytes", u("net_bytes")?, Worse::Higher, true),
         (
             "rounds_per_query",
-            f("rounds_per_query")?,
+            row.get("rounds_per_query")?.as_f64()?,
             Worse::Higher,
             true,
         ),
@@ -214,8 +205,18 @@ fn row_metrics(row: &Value) -> Result<Vec<(&'static str, f64, Worse, bool)>, Jso
         ("sched_rounds", u("sched_rounds")?, Worse::Higher, false),
         // Wall-clock rates are host-dependent: soft. `modeled_qps` folds
         // wall time into the WAN model, so it inherits the host noise.
-        ("wall_qps", f("wall_qps")?, Worse::Lower, false),
-        ("modeled_qps", f("modeled_qps")?, Worse::Lower, false),
+        (
+            "wall_qps",
+            row.get("wall_qps")?.as_f64()?,
+            Worse::Lower,
+            false,
+        ),
+        (
+            "modeled_qps",
+            row.get("modeled_qps")?.as_f64()?,
+            Worse::Lower,
+            false,
+        ),
     ])
 }
 
@@ -297,15 +298,6 @@ fn diff_update(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Jso
     crate::liveupdate::validate(cur)?;
     let u =
         |doc: &Value, key: &str| -> Result<f64, JsonError> { Ok(doc.get(key)?.as_u64()? as f64) };
-    let f = |doc: &Value, key: &str| -> Result<f64, JsonError> {
-        match doc.get(key)? {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(JsonError::Schema(format!(
-                "field `{key}` must be a number, found {other:?}"
-            ))),
-        }
-    };
     // The congestion wave and the customize cone are fully seeded: these
     // counters reproduce exactly, so any drift is a real behaviour change.
     for key in [
@@ -328,7 +320,13 @@ fn diff_update(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Jso
         ("live_p50_s", Worse::Higher),
         ("degradation", Worse::Higher),
     ] {
-        cx.compare(key, f(base, key)?, f(cur, key)?, worse, false);
+        cx.compare(
+            key,
+            base.get(key)?.as_f64()?,
+            cur.get(key)?.as_f64()?,
+            worse,
+            false,
+        );
     }
     Ok(())
 }
@@ -338,15 +336,6 @@ fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Js
     crate::comparebench::validate(cur)?;
     let u =
         |row: &Value, key: &str| -> Result<f64, JsonError> { Ok(row.get(key)?.as_u64()? as f64) };
-    let f = |row: &Value, key: &str| -> Result<f64, JsonError> {
-        match row.get(key)? {
-            Value::Float(x) => Ok(*x),
-            Value::Int(i) => Ok(*i as f64),
-            other => Err(JsonError::Schema(format!(
-                "field `{key}` must be a number, found {other:?}"
-            ))),
-        }
-    };
     for b_row in base.get("rows")?.as_arr()? {
         let batch = b_row.get("batch")?.as_u64()?;
         let label = format!("batch-{batch}");
@@ -380,8 +369,8 @@ fn diff_compare(cx: &mut DiffCx<'_>, base: &Value, cur: &Value) -> Result<(), Js
         ] {
             cx.compare(
                 &format!("{label}.{key}"),
-                f(b_row, key)?,
-                f(c_row, key)?,
+                b_row.get(key)?.as_f64()?,
+                c_row.get(key)?.as_f64()?,
                 Worse::Lower,
                 false,
             );

@@ -193,10 +193,6 @@ impl RunReport {
     }
 }
 
-fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)?.as_u64()
-}
-
 /// Validates a parsed document against the `fedroad.bench-run.v1` schema:
 /// schema tag, required top-level fields, and the per-entry shapes of
 /// `experiments`, `counters`, `histograms`, and `query`.
@@ -207,7 +203,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
             "schema mismatch: expected {RUN_SCHEMA:?}, found {schema:?}"
         )));
     }
-    expect_u64(doc, "seed")?;
+    doc.get("seed")?.as_u64()?;
     match doc.get("quick")? {
         Value::Bool(_) => {}
         other => {
@@ -218,17 +214,17 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
     }
     for entry in doc.get("experiments")?.as_arr()? {
         entry.get("name")?.as_str()?;
-        expect_u64(entry, "records")?;
+        entry.get("records")?.as_u64()?;
     }
     for entry in doc.get("counters")?.as_arr()? {
         entry.get("name")?.as_str()?;
-        expect_u64(entry, "value")?;
+        entry.get("value")?.as_u64()?;
     }
     for entry in doc.get("histograms")?.as_arr()? {
         entry.get("name")?.as_str()?;
         for bucket in entry.get("buckets")?.as_arr()? {
-            expect_u64(bucket, "floor")?;
-            expect_u64(bucket, "count")?;
+            bucket.get("floor")?.as_u64()?;
+            bucket.get("count")?.as_u64()?;
         }
     }
     match doc.get("query")? {
@@ -252,7 +248,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
                 "wall_ns",
                 "num_events",
             ] {
-                expect_u64(q, key)?;
+                q.get(key)?.as_u64()?;
             }
         }
     }

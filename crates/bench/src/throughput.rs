@@ -275,20 +275,6 @@ impl ThroughputReport {
     }
 }
 
-fn expect_u64(doc: &Value, key: &str) -> Result<u64, JsonError> {
-    doc.get(key)?.as_u64()
-}
-
-fn expect_f64(doc: &Value, key: &str) -> Result<f64, JsonError> {
-    match doc.get(key)? {
-        Value::Float(x) => Ok(*x),
-        Value::Int(i) => Ok(*i as f64),
-        other => Err(JsonError::Schema(format!(
-            "field `{key}` must be a number, found {other:?}"
-        ))),
-    }
-}
-
 fn validate_row(row: &Value) -> Result<(), JsonError> {
     row.get("label")?.as_str()?;
     for key in [
@@ -299,7 +285,7 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
         "sched_rounds",
         "max_requests_per_round",
     ] {
-        expect_u64(row, key)?;
+        row.get(key)?.as_u64()?;
     }
     for key in [
         "wall_time_s",
@@ -308,7 +294,7 @@ fn validate_row(row: &Value) -> Result<(), JsonError> {
         "modeled_qps",
         "rounds_per_query",
     ] {
-        let x = expect_f64(row, key)?;
+        let x = row.get(key)?.as_f64()?;
         if !x.is_finite() || x < 0.0 {
             return Err(JsonError::Schema(format!(
                 "field `{key}` must be finite and non-negative, found {x}"
@@ -328,7 +314,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
             "schema mismatch: expected {THROUGHPUT_SCHEMA:?}, found {schema:?}"
         )));
     }
-    expect_u64(doc, "seed")?;
+    doc.get("seed")?.as_u64()?;
     match doc.get("quick")? {
         Value::Bool(_) => {}
         other => {
@@ -338,7 +324,7 @@ pub fn validate(doc: &Value) -> Result<(), JsonError> {
         }
     }
     doc.get("preset")?.as_str()?;
-    expect_u64(doc, "num_queries")?;
+    doc.get("num_queries")?.as_u64()?;
     validate_row(doc.get("sequential")?)?;
     let batch = doc.get("batch")?.as_arr()?;
     if batch.is_empty() {

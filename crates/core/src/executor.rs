@@ -323,8 +323,7 @@ pub struct BatchReport {
     pub workers: usize,
     /// Wall-clock seconds for the whole batch.
     pub wall_time_s: f64,
-    /// Fed-SAC cost delta over the run (zero for the threaded scheduler
-    /// backend, whose parties account internally per round).
+    /// Fed-SAC cost delta over the run.
     pub sac: SacStats,
     /// Coalescing counters delta over the run.
     pub scheduler: SchedulerStats,

@@ -165,6 +165,15 @@ impl Value {
         }
     }
 
+    /// The value as `f64` (a JSON float or integer), or a schema error.
+    pub fn as_f64(&self) -> Result<f64, JsonError> {
+        match self {
+            Value::Float(x) => Ok(*x),
+            Value::Int(i) => Ok(*i as f64),
+            _ => Err(JsonError::Schema("expected number".into())),
+        }
+    }
+
     /// The value as `u32`, or a schema error.
     pub fn as_u32(&self) -> Result<u32, JsonError> {
         match self {

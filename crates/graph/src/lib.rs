@@ -12,10 +12,11 @@
 //!   paper's CAL/BJ/FLA datasets; [`dimacs`] parses the real ones.
 //! * [`traffic`] — congestion models generating per-silo private weight
 //!   sets, and the data-volume observation model behind the paper's Fig. 1.
-//! * [`algo`] — Dijkstra / bidirectional / A* reference searches.
-//! * [`ch`] — local contraction hierarchies with a **weight-independent**
-//!   contraction order shared by all silos.
-//! * [`landmarks`]/[`alt`] — landmark selection and ALT lower bounds.
+//! * [`algo`] — Dijkstra: the plaintext oracle, the silo-local sweeps of
+//!   the Fed-AMPS lower bound, and the non-federated baselines.
+//! * [`ch`] — the **weight-independent** contraction order shared by all
+//!   silos (the federated shortcut index is built on it in `fedroad-core`).
+//! * [`landmarks`] — landmark selection and vertex↔landmark distance tables.
 //!
 //! Nothing in this crate touches secret data; per-silo weight vectors are
 //! plain `Vec<Weight>` values whose custody is managed by `fedroad-core`.
@@ -24,7 +25,6 @@
 #![warn(missing_docs)]
 
 pub mod algo;
-pub mod alt;
 pub mod ch;
 pub mod dimacs;
 pub mod gen;

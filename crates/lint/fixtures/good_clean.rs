@@ -34,12 +34,12 @@ fn reveal(_s: Vec<u64>) -> u64 {
     0
 }
 
-/// The one intentional reveal: folding the exchanged bit shares *is* the
+/// The one intentional reveal: folding the broadcast bit shares *is* the
 /// protocol's opened output, declassified by the marker.
-pub fn opened_bit(links: &Links) -> bool {
-    let recv = links.exchange(vec![1u64]);
-    // lint: public-ok(the XOR-fold of all exchanged bit shares is the opened comparison bit)
-    let bit = recv.iter().fold(0u64, |acc, w| acc ^ w[0]);
+pub fn opened_bit(mesh: &mut Mesh, words: &[Vec<u64>]) -> bool {
+    let recv = mesh.broadcast_words(MsgKind::BitOpen, words);
+    // lint: public-ok(the XOR-fold of all broadcast bit shares is the opened comparison bit)
+    let bit = recv.iter().fold(0u64, |acc, w| acc ^ w[0][0]);
     bit == 1
 }
 

@@ -64,13 +64,12 @@ pub struct RawFinding {
 pub const SECRET_CRATES: [&str; 2] = ["mpc", "core"];
 
 /// Protocol hot paths (R3/R4 scope): code a malformed message reaches.
-pub const HOT_PATHS: [&str; 9] = [
+pub const HOT_PATHS: [&str; 8] = [
     "crates/mpc/src/binary.rs",
     "crates/mpc/src/block.rs",
     "crates/mpc/src/compare.rs",
     "crates/mpc/src/fedsac.rs",
     "crates/mpc/src/net.rs",
-    "crates/mpc/src/threaded.rs",
     "crates/core/src/engine.rs",
     "crates/core/src/fedch.rs",
     "crates/core/src/spsp.rs",
@@ -78,13 +77,12 @@ pub const HOT_PATHS: [&str; 9] = [
 
 /// Types that hold raw share words; Debug/Display on them needs a
 /// `// lint: debug-ok(<reason>)` marker (normally a redacted impl).
-pub const SHARE_TYPES: [&str; 9] = [
+pub const SHARE_TYPES: [&str; 8] = [
     "SharedWord",
     "EdaBit",
     "TripleWord",
     "MacKey",
     "AuthShare",
-    "PartyMaterial",
     "ShareBlock",
     "EdaBitBlock",
     "TripleBlock",
@@ -94,7 +92,7 @@ pub const SHARE_TYPES: [&str; 9] = [
 /// `let`-bound from these are *tainted*: branching on them (R4) or
 /// debug-formatting them (R1) is a leak. `less_than*` is deliberately
 /// absent — its output is the protocol's one intentionally revealed bit.
-pub const SHARE_APIS: [&str; 21] = [
+pub const SHARE_APIS: [&str; 20] = [
     "additive_shares",
     "xor_shares",
     "edabit",
@@ -112,7 +110,6 @@ pub const SHARE_APIS: [&str; 21] = [
     "xor_public",
     "and_public",
     "shl_words",
-    "exchange",
     "broadcast_words",
     "broadcast_flat",
     "scatter_words",
@@ -123,7 +120,7 @@ pub const SHARE_APIS: [&str; 21] = [
 /// zero-argument form only — `Path::join` takes one), and the
 /// scheduler's round-executing backend hook. Pinned to real workspace
 /// call sites by `tests/api_drift.rs`.
-pub const BLOCKING_CALLS: [&str; 5] = ["wait", "send", "recv", "join", "execute_round"];
+pub const BLOCKING_CALLS: [&str; 4] = ["wait", "send", "join", "execute_round"];
 
 /// Lock-related type names the lock engine recognises in function
 /// signatures: a `MutexGuard` parameter arrives held, a `Mutex`

@@ -17,8 +17,9 @@
 //! intentionally revealed comparison bits of FedRoad §VII), public-size
 //! methods (`len`/`is_empty`/`capacity`) are public, and a
 //! `// lint: public-ok(<reason>)` marker declassifies the `let` binding
-//! it annotates (the masked-open fold in `threaded.rs`). Markers that
-//! never declassify anything are reported by rule R9 upstream.
+//! it annotates (an XOR-fold of broadcast bit shares that *is* the
+//! opened output). Markers that never declassify anything are reported
+//! by rule R9 upstream.
 
 use crate::ast::{self, Arm, Block, Expr, FnItem, Item, ItemKind, Pat, Stmt};
 use crate::lexer::{Lexed, MarkerKind};
@@ -704,7 +705,7 @@ impl<'a> Eval<'a> {
                 out
             }
             Expr::Closure { params, body, .. } => self.eval_closure(params, body, 0),
-            Expr::BlockExpr { block, .. } => self.eval_block(block),
+            Expr::Block { block, .. } => self.eval_block(block),
             Expr::Tuple { items, .. } | Expr::StructLit { fields: items, .. } => {
                 items.iter().fold(0, |a, e| a | self.eval_expr(e))
             }
@@ -835,13 +836,13 @@ mod tests {
 
     #[test]
     fn public_ok_marker_declassifies_the_binding() {
-        let src = "pub fn opened(links: &Links) -> u64 {\n\
-                   let recv = links.exchange(1u64);\n\
+        let src = "pub fn opened(mesh: &mut Mesh, words: &[u64]) -> u64 {\n\
+                   let recv = mesh.broadcast_words(kind, words);\n\
                    // lint: public-ok(fold of all parties' words is the reveal)\n\
                    let bit = recv.iter().fold(0u64, |acc, w| acc ^ w);\n\
                    if bit == 1 { 1 } else { 0 }\n\
                    }\n";
-        let ctx = FileContext::classify("crates/mpc/src/threaded.rs");
+        let ctx = FileContext::classify("crates/mpc/src/compare.rs");
         let lexed = lex(src);
         let tree = ast::parse(&lexed.tokens);
         let files = [TaintFile {
@@ -865,13 +866,13 @@ mod tests {
     #[test]
     fn closure_params_see_receiver_taint() {
         let src = r#"
-            pub fn fold_leak(links: &Links) -> u64 {
-                let recv = links.exchange(1u64);
+            pub fn fold_leak(mesh: &mut Mesh, words: &[u64]) -> u64 {
+                let recv = mesh.broadcast_words(kind, words);
                 let picked = recv.iter().map(|w| if w > 2 { 1 } else { 0 }).sum::<u64>();
                 picked
             }
         "#;
-        let f = run("crates/mpc/src/threaded.rs", src);
+        let f = run("crates/mpc/src/compare.rs", src);
         assert!(
             rules(&f).contains(&"no-secret-branch"),
             "closure over tainted elements branches on them: {f:?}"
@@ -881,23 +882,23 @@ mod tests {
     #[test]
     fn thread_handles_of_clean_closures_stay_clean() {
         let src = r#"
-            fn party_main(links: &Links) -> u64 {
-                let recv = links.exchange(1u64);
+            fn party_main(mesh: &mut Mesh, words: &[u64]) -> u64 {
+                let recv = mesh.broadcast_words(kind, words);
                 // lint: public-ok(masked open)
                 let bit = recv.iter().fold(0u64, |acc, w| acc ^ w);
                 bit
             }
-            pub fn run(all_links: Vec<Links>) -> bool {
+            pub fn run(meshes: Vec<Mesh>, words: &[u64]) -> bool {
                 let mut bits = Vec::new();
-                for links in all_links.iter() {
-                    let h = thread::spawn(move || party_main(links));
+                for mesh in meshes.iter_mut() {
+                    let h = thread::spawn(move || party_main(mesh, words));
                     bits.push(h.join());
                 }
                 if bits.is_empty() { return false; }
                 true
             }
         "#;
-        let f = run("crates/mpc/src/threaded.rs", src);
+        let f = run("crates/mpc/src/compare.rs", src);
         assert!(
             f.is_empty(),
             "declassified protocol output is public: {f:?}"

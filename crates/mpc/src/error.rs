@@ -1,9 +1,9 @@
 //! Typed protocol errors.
 //!
 //! Protocol hot paths ([`crate::fedsac`], [`crate::compare`],
-//! [`crate::binary`], [`crate::threaded`]) never `unwrap`/`expect`/`panic!`
-//! on malformed inputs or peer failures — they return a [`ProtocolError`]
-//! so callers decide what a failed comparison means for the query. The
+//! [`crate::binary`], [`crate::scheduler`]) never `unwrap`/`expect`/`panic!`
+//! on malformed inputs — they return a [`ProtocolError`] so callers
+//! decide what a failed comparison means for the query. The
 //! `fedroad-lint` rule `no-panic-hot-path` enforces this mechanically.
 
 use std::fmt;
@@ -30,30 +30,6 @@ pub enum ProtocolError {
     /// A protocol execution completed without producing the expected
     /// output (an internal invariant violation surfaced as an error).
     MissingOutput,
-    /// Fewer than two parties were requested.
-    TooFewParties {
-        /// Parties requested.
-        got: usize,
-    },
-    /// A peer's channel closed mid-protocol (the party hung up).
-    PeerDisconnected {
-        /// The unreachable party.
-        party: usize,
-    },
-    /// A party thread panicked before delivering its result. Carries the
-    /// stringified panic payload so a batch failure is attributable to the
-    /// originating party's actual crash, not to the secondary
-    /// [`ProtocolError::PeerDisconnected`] its peers observe afterwards.
-    PartyPanicked {
-        /// The crashed party.
-        party: usize,
-        /// The panic message (`"<non-string panic payload>"` when the
-        /// payload was not a string).
-        payload: String,
-    },
-    /// Parties revealed different result bits — impossible for an honest
-    /// execution, so this signals protocol corruption.
-    ResultDivergence,
 }
 
 impl fmt::Display for ProtocolError {
@@ -74,21 +50,6 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::MissingOutput => {
                 write!(f, "protocol execution produced no output")
-            }
-            ProtocolError::TooFewParties { got } => {
-                write!(f, "a federation needs at least two silos, got {got}")
-            }
-            ProtocolError::PeerDisconnected { party } => {
-                write!(f, "party {party} disconnected mid-protocol")
-            }
-            ProtocolError::PartyPanicked { party, payload } => {
-                write!(f, "party {party}'s thread panicked: {payload}")
-            }
-            ProtocolError::ResultDivergence => {
-                write!(
-                    f,
-                    "parties disagreed on revealed bits (protocol corruption)"
-                )
             }
         }
     }
@@ -112,23 +73,6 @@ mod tests {
                 "expected one partial cost per silo (3), got 2",
             ),
             (ProtocolError::CostOutOfRange { value: 1 << 60 }, "2^54"),
-            (ProtocolError::PeerDisconnected { party: 1 }, "party 1"),
-            (
-                ProtocolError::PartyPanicked {
-                    party: 2,
-                    payload: "boom".into(),
-                },
-                "party 2",
-            ),
-            (
-                ProtocolError::PartyPanicked {
-                    party: 2,
-                    payload: "injected fault".into(),
-                },
-                "injected fault",
-            ),
-            (ProtocolError::ResultDivergence, "disagreed"),
-            (ProtocolError::TooFewParties { got: 1 }, "at least two"),
             (ProtocolError::MissingOutput, "no output"),
         ];
         for (e, needle) in cases {

@@ -87,6 +87,36 @@ impl SacStats {
     }
 }
 
+/// Partial costs must stay below 2⁵⁴ so the sum across ≤ 2⁸ silos keeps
+/// the signed difference exact (road-network costs are ≤ 2⁴⁰).
+const MAX_COST_EXCLUSIVE: u64 = 1 << 54;
+
+/// Checks every duel against the protocol's input bounds: each side
+/// carries one partial cost per silo (`num_parties`), and every cost lies
+/// in `[0, 2⁵⁴)`. Per duel, both silo counts are checked before the range.
+/// [`SacEngine::less_than_many`] runs it on every batch, and the
+/// [`BatchScheduler`](crate::BatchScheduler) runs it per request so a
+/// malformed request fails alone instead of failing a merged round.
+pub(crate) fn validate_duels(
+    pairs: &[(Vec<u64>, Vec<u64>)],
+    num_parties: usize,
+) -> Result<(), ProtocolError> {
+    for (a, b) in pairs {
+        for side in [a, b] {
+            if side.len() != num_parties {
+                return Err(ProtocolError::WrongSiloCount {
+                    expected: num_parties,
+                    got: side.len(),
+                });
+            }
+        }
+        if let Some(&value) = a.iter().chain(b).find(|&&v| v >= MAX_COST_EXCLUSIVE) {
+            return Err(ProtocolError::CostOutOfRange { value });
+        }
+    }
+    Ok(())
+}
+
 /// Optional recording of everything the protocol publicly reveals — the
 /// material for the simulation-paradigm security argument (§VII): a party's
 /// view is exactly (uniform masked opens, uniform triple opens, result
@@ -314,19 +344,7 @@ impl SacEngine {
         if k == 0 {
             return Err(ProtocolError::EmptyBatch);
         }
-        for (a, b) in pairs {
-            for side in [a, b] {
-                if side.len() != n {
-                    return Err(ProtocolError::WrongSiloCount {
-                        expected: n,
-                        got: side.len(),
-                    });
-                }
-            }
-            if let Some(&value) = a.iter().chain(b).find(|&&v| v >= 1 << 54) {
-                return Err(ProtocolError::CostOutOfRange { value });
-            }
-        }
+        validate_duels(pairs, n)?;
         self.invocations += k as u64;
         self.batches += 1;
 

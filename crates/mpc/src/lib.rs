@@ -21,11 +21,11 @@
 //! * [`compare`] — masked-opening sign extraction (`8` online rounds).
 //! * [`fedsac`] — the [`SacEngine`] with `Real` and
 //!   `Modeled` backends producing identical results *and* identical cost
-//!   statistics (pinned by tests).
+//!   statistics (pinned by tests). It is the one Fed-SAC implementation:
+//!   every query, index update and scheduled round runs its vectorized
+//!   lockstep kernels.
 //! * [`audit`] — the structural half of the paper's §VII simulation-based
 //!   security argument, enforced mechanically.
-//! * [`threaded`] — a coordinator-free execution of the same protocol with
-//!   one real thread per party (pinned equal to the lockstep engine).
 //! * [`scheduler`] — a cross-query submission queue + round scheduler
 //!   coalescing pending comparisons from many in-flight queries into one
 //!   protocol execution (the paper's `R·(L + S/B)` lever at serving time).
@@ -58,7 +58,6 @@ pub mod mac;
 pub mod net;
 pub mod pool;
 pub mod scheduler;
-pub mod threaded;
 
 pub use audit::{
     audit_constant_trace, audit_engine, audit_masked_uniformity, trace_profile, AuditError,
@@ -71,4 +70,3 @@ pub use fedsac::{SacBackend, SacEngine, SacStats, Transcript, FEDSAC_ROUNDS};
 pub use net::{Mesh, MsgKind, NetStats, NetworkModel, PartyId};
 pub use pool::{PoolConfig, PoolStats, PooledDealer};
 pub use scheduler::{BatchScheduler, DuelTicket, SacSession, SchedulerStats};
-pub use threaded::{run_comparisons, run_comparisons_from, run_comparisons_with_fault, PartyFault};

@@ -16,10 +16,9 @@
 //! submitted request — the barrier that guarantees a round is maximally
 //! wide without speculating about future submissions. The thread that
 //! observes the barrier becomes the round leader: it drains the submission
-//! queue, merges all pending duels into one protocol execution (either a
-//! lockstep [`SacEngine`] or the per-party threaded runner from
-//! [`crate::threaded`]), and distributes each request's slice of the
-//! revealed bits back to its ticket.
+//! queue, merges all pending duels into one [`SacEngine::less_than_many`]
+//! execution, and distributes each request's slice of the revealed bits
+//! back to its ticket.
 //!
 //! ## Liveness contract
 //!
@@ -34,7 +33,7 @@
 //!
 //! Requests carry per-silo partial costs — secret material. The scheduler
 //! only ever observes *shapes* (request counts, duel counts); costs flow
-//! opaquely into the protocol backends and nothing value-dependent is
+//! opaquely into the engine and nothing value-dependent is
 //! logged or recorded (`fedroad-lint` checks this mechanically).
 
 // Protocol hot path: malformed requests become typed errors, never panics
@@ -45,17 +44,11 @@ use std::collections::HashMap;
 use std::sync::{Condvar, Mutex, MutexGuard};
 
 use crate::error::ProtocolError;
-use crate::fedsac::{SacEngine, SacStats};
-use crate::threaded::run_comparisons;
+use crate::fedsac::{validate_duels, SacEngine, SacStats};
 
 /// Partial-cost pairs of one comparison request: for each duel, the
 /// per-silo costs of path A and path B.
 pub type DuelPairs = Vec<(Vec<u64>, Vec<u64>)>;
-
-/// Costs must stay below 2⁵⁴ so cross-silo sums remain exact (mirrors the
-/// engine-side bound; checked here so a malformed request fails alone
-/// instead of poisoning the whole merged round).
-const MAX_COST_EXCLUSIVE: u64 = 1 << 54;
 
 /// Aggregate counters of a [`BatchScheduler`] — how much cross-query
 /// coalescing actually happened.
@@ -113,27 +106,14 @@ struct State {
     stats: SchedulerStats,
 }
 
-/// Which protocol machinery executes a merged round.
-enum RoundBackend {
-    /// One lockstep [`SacEngine`] shared by all rounds — cheap, and its
-    /// [`SacStats`] double as the scheduler's cost accounting. Boxed so
-    /// the enum stays small next to the flyweight `Threaded` variant.
-    Lockstep(Box<Mutex<SacEngine>>),
-    /// The coordinator-free per-party threaded runner
-    /// ([`crate::threaded::run_comparisons`]): one OS thread per silo per
-    /// round, seeded deterministically per round.
-    Threaded {
-        /// Silo count every request must match.
-        num_parties: usize,
-        /// Base seed; round `i` runs with `seed + i`.
-        seed: u64,
-    },
-}
-
 /// A submission queue + round scheduler coalescing Fed-SAC comparison
 /// requests from many in-flight queries into shared protocol executions.
 pub struct BatchScheduler {
-    backend: RoundBackend,
+    /// The lockstep engine every merged round runs on; its [`SacStats`]
+    /// double as the scheduler's cost accounting.
+    engine: Mutex<SacEngine>,
+    /// Silo count every request must match, read once from the engine.
+    num_parties: usize,
     state: Mutex<State>,
     wakeup: Condvar,
 }
@@ -153,21 +133,17 @@ fn publish_gauges(st: &State) {
     fedroad_obs::gauge_set("sched.active_sessions", st.active as u64);
 }
 
+/// Recovers a poisoned engine guard, as [`lock_state`] does for the state.
+fn lock_engine(m: &Mutex<SacEngine>) -> MutexGuard<'_, SacEngine> {
+    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
+
 impl BatchScheduler {
     /// Scheduler executing merged rounds on a lockstep engine.
     pub fn lockstep(engine: SacEngine) -> Self {
         BatchScheduler {
-            backend: RoundBackend::Lockstep(Box::new(Mutex::new(engine))),
-            state: Mutex::new(State::default()),
-            wakeup: Condvar::new(),
-        }
-    }
-
-    /// Scheduler executing merged rounds on the threaded per-party runner,
-    /// reusing the machinery in [`crate::threaded`].
-    pub fn threaded(num_parties: usize, seed: u64) -> Self {
-        BatchScheduler {
-            backend: RoundBackend::Threaded { num_parties, seed },
+            num_parties: engine.num_parties(),
+            engine: Mutex::new(engine),
             state: Mutex::new(State::default()),
             wakeup: Condvar::new(),
         }
@@ -175,13 +151,7 @@ impl BatchScheduler {
 
     /// Silo count every request must match.
     pub fn num_parties(&self) -> usize {
-        match &self.backend {
-            RoundBackend::Lockstep(engine) => engine
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .num_parties(),
-            RoundBackend::Threaded { num_parties, .. } => *num_parties,
-        }
+        self.num_parties
     }
 
     /// Snapshot of the coalescing counters.
@@ -189,32 +159,16 @@ impl BatchScheduler {
         lock_state(&self.state).stats
     }
 
-    /// Cumulative [`SacStats`] of the underlying engine — `Some` for the
-    /// lockstep backend (whose engine accounts every merged round), `None`
-    /// for the threaded backend (parties account internally per run).
+    /// Cumulative [`SacStats`] of the engine, which accounts every merged
+    /// round. Always `Some`; the `Option` is kept for existing callers.
     pub fn sac_cumulative_stats(&self) -> Option<SacStats> {
-        match &self.backend {
-            RoundBackend::Lockstep(engine) => Some(
-                engine
-                    .lock()
-                    .unwrap_or_else(|poisoned| poisoned.into_inner())
-                    .cumulative_stats(),
-            ),
-            RoundBackend::Threaded { .. } => None,
-        }
+        Some(lock_engine(&self.engine).cumulative_stats())
     }
 
-    /// Live dealer-pool telemetry — `Some` only when the lockstep engine
-    /// was built with `SacEngine::new_pooled`; `None` on inline
-    /// preprocessing or the threaded backend.
+    /// Live dealer-pool telemetry — `Some` only when the engine was built
+    /// with `SacEngine::new_pooled`; `None` on inline preprocessing.
     pub fn pool_stats(&self) -> Option<crate::pool::PoolStats> {
-        match &self.backend {
-            RoundBackend::Lockstep(engine) => engine
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .pool_stats(),
-            RoundBackend::Threaded { .. } => None,
-        }
+        lock_engine(&self.engine).pool_stats()
     }
 
     /// Registers a query with the barrier. The session participates in
@@ -232,46 +186,10 @@ impl BatchScheduler {
         }
     }
 
-    /// Validates one request against the shared protocol bounds so a
-    /// malformed request fails *individually* (attributable to its ticket)
-    /// instead of failing the whole merged round it would have joined.
-    fn prevalidate(&self, pairs: &[(Vec<u64>, Vec<u64>)]) -> Result<(), ProtocolError> {
-        let parties = self.num_parties();
-        for (a, b) in pairs {
-            for side in [a, b] {
-                if side.len() != parties {
-                    return Err(ProtocolError::WrongSiloCount {
-                        expected: parties,
-                        got: side.len(),
-                    });
-                }
-                if let Some(&value) = side.iter().find(|&&v| v >= MAX_COST_EXCLUSIVE) {
-                    return Err(ProtocolError::CostOutOfRange { value });
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Executes one merged round over `merged` duels. Runs *outside* the
     /// state lock; exclusivity comes from the `round_in_flight` flag.
-    fn execute_round(
-        &self,
-        merged: &[(Vec<u64>, Vec<u64>)],
-        round_index: u64,
-    ) -> Result<Vec<bool>, ProtocolError> {
-        match &self.backend {
-            RoundBackend::Lockstep(engine) => engine
-                .lock()
-                .unwrap_or_else(|poisoned| poisoned.into_inner())
-                .less_than_many(merged),
-            RoundBackend::Threaded { num_parties, seed } => {
-                // Deterministic per-round seed: replaying the same request
-                // schedule replays identical protocol randomness. Result
-                // bits are value-determined either way (pinned by tests).
-                run_comparisons(*num_parties, merged, seed.wrapping_add(round_index))
-            }
-        }
+    fn execute_round(&self, merged: &[(Vec<u64>, Vec<u64>)]) -> Result<Vec<bool>, ProtocolError> {
+        lock_engine(&self.engine).less_than_many(merged)
     }
 
     /// Leader path: takes the whole submission queue, executes it as one
@@ -280,7 +198,6 @@ impl BatchScheduler {
     fn fire_round<'a>(&'a self, mut st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
         st.round_in_flight = true;
         let requests: Vec<PendingRequest> = std::mem::take(&mut st.pending);
-        let round_index = st.stats.rounds;
         drop(st);
 
         let merged: DuelPairs = requests
@@ -304,7 +221,7 @@ impl BatchScheduler {
                 ],
             );
         }
-        let outcome = self.execute_round(&merged, round_index);
+        let outcome = self.execute_round(&merged);
         if outcome.is_err() {
             // Black-box dump before the error fans out to the tickets: the
             // flight rings hold the events leading up to the failure, and
@@ -409,14 +326,13 @@ impl SacSession<'_> {
     /// Malformed requests (silo-count or 2⁵⁴-range violations) and empty
     /// batches resolve immediately — they never occupy a protocol round
     /// and never fail other queries' requests. An empty batch resolves to
-    /// `Ok(vec![])`, mirroring
-    /// [`run_comparisons`](crate::threaded::run_comparisons) on no input.
+    /// `Ok(vec![])`.
     pub fn submit(&self, pairs: &[(Vec<u64>, Vec<u64>)]) -> DuelTicket {
         let sched = self.scheduler;
         let immediate: Option<Result<Vec<bool>, ProtocolError>> = if pairs.is_empty() {
             Some(Ok(Vec::new()))
         } else {
-            sched.prevalidate(pairs).err().map(Err)
+            validate_duels(pairs, sched.num_parties).err().map(Err)
         };
 
         let mut st = lock_state(&sched.state);
@@ -507,6 +423,7 @@ impl Drop for SacSession<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
     use crate::fedsac::{SacBackend, FEDSAC_ROUNDS};
@@ -593,17 +510,6 @@ mod tests {
     }
 
     #[test]
-    fn threaded_backend_matches_plain() {
-        let sched = BatchScheduler::threaded(3, 23);
-        let session = sched.register();
-        let pairs = random_pairs(3, 7, 29);
-        assert_eq!(session.compare_many(&pairs).unwrap(), plain_bits(&pairs));
-        assert!(sched.sac_cumulative_stats().is_none());
-        assert_eq!(sched.stats().rounds, 1);
-        assert!(sched.pool_stats().is_none());
-    }
-
-    #[test]
     fn pooled_engine_behind_the_scheduler_matches_plain() {
         use crate::pool::PoolConfig;
         let sched = BatchScheduler::lockstep(SacEngine::new_pooled(
@@ -657,6 +563,55 @@ mod tests {
             Err(ProtocolError::CostOutOfRange { value: 1 << 54 })
         );
         assert_eq!(sched.stats().rounds, 0);
+    }
+
+    #[test]
+    fn engine_error_reaches_every_ticket_of_the_round_and_dumps_a_black_box() {
+        use fedroad_obs::flight;
+        let dir = std::env::temp_dir().join(format!("fedroad-sched-flight-{}", std::process::id()));
+        flight::set_dump_dir(&dir);
+        flight::enable(Some(64));
+
+        let sched = BatchScheduler::lockstep(SacEngine::new(3, SacBackend::Real, 97));
+        let s1 = sched.register();
+        let s2 = sched.register();
+        let t_good = s1.submit(&random_pairs(3, 2, 101));
+        // A two-silo request enqueued straight into the state, skipping
+        // the per-request validation `submit` runs: the merged round
+        // carries it to the engine, which rejects the whole batch.
+        let t_bad = {
+            let mut st = lock_state(&sched.state);
+            let ticket = st.next_ticket;
+            st.next_ticket += 1;
+            st.pending.push(PendingRequest {
+                ticket,
+                session: s2.id(),
+                pairs: vec![(vec![1, 2], vec![3, 4])],
+            });
+            st.unresolved.insert(s2.id(), 1);
+            st.ready += 1;
+            DuelTicket(ticket)
+        };
+        let engine_error = Err(ProtocolError::WrongSiloCount {
+            expected: 3,
+            got: 2,
+        });
+        assert_eq!(s1.wait(t_good), engine_error);
+        assert_eq!(s2.wait(t_bad), engine_error);
+        assert_eq!(sched.stats().rounds, 1);
+        assert_eq!(sched.stats().coalesced_requests, 2);
+
+        flight::disable();
+        let text = std::fs::read_to_string(dir.join("blackbox_protocol-error.jsonl"))
+            .expect("the failed round must dump a black box");
+        let _ = std::fs::remove_dir_all(&dir);
+        flight::validate_dump(&text).expect("well-formed black box");
+        assert!(text.contains("\"reason\":\"protocol-error\""));
+        // The round span reaches the ring with the aggregate recorder off.
+        assert!(
+            text.contains("sched.round"),
+            "round span missing from the black box:\n{text}"
+        );
     }
 
     #[test]

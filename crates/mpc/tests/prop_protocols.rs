@@ -1,5 +1,5 @@
 //! Property tests for the MPC substrate: share algebra, circuits, the
-//! comparison protocol, the threaded runner, and the MAC layer, on
+//! comparison protocol, the round scheduler, and the MAC layer, on
 //! arbitrary inputs.
 
 use fedroad_mpc::binary::{add_public, and_many, open_word, xor_public};
@@ -11,6 +11,14 @@ use fedroad_mpc::{Mesh, MsgKind, SacBackend, SacEngine};
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+
+/// The bits Fed-SAC must reveal: `Σa < Σb` per duel, in plaintext.
+fn plain_bits(pairs: &[(Vec<u64>, Vec<u64>)]) -> Vec<bool> {
+    pairs
+        .iter()
+        .map(|(a, b)| a.iter().sum::<u64>() < b.iter().sum::<u64>())
+        .collect()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -125,16 +133,15 @@ proptest! {
 }
 
 proptest! {
-    // Session threads plus per-round party threads are expensive; fewer,
-    // larger cases.
+    // Session threads are expensive; fewer, larger cases.
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The round scheduler is transparent: however submissions and waits
     /// interleave across concurrently running sessions, every request's
-    /// bits equal [`run_comparisons`] on the flattened input. Request
-    /// sizes include 0 (empty batch) and 1 (single duel) by construction.
+    /// bits equal the plaintext `Σa < Σb` of its duels. Request sizes
+    /// include 0 (empty batch) and 1 (single duel) by construction.
     #[test]
-    fn scheduler_matches_flat_runner_under_random_interleavings(
+    fn scheduler_matches_plain_comparison_under_random_interleavings(
         parties in 2usize..4,
         request_sizes in proptest::collection::vec(
             proptest::collection::vec(0usize..4, 0..4),
@@ -142,13 +149,13 @@ proptest! {
         ),
         seed: u64,
     ) {
-        use fedroad_mpc::threaded::run_comparisons;
+        use fedroad_mpc::scheduler::DuelPairs;
         use fedroad_mpc::{BatchScheduler, DuelTicket};
         use rand::Rng;
 
         // Materialize each session's requests with seeded random costs.
         let mut rng = ChaCha12Rng::seed_from_u64(seed);
-        let sessions: Vec<Vec<Vec<(Vec<u64>, Vec<u64>)>>> = request_sizes
+        let sessions: Vec<Vec<DuelPairs>> = request_sizes
             .iter()
             .map(|sizes| {
                 sizes
@@ -168,33 +175,18 @@ proptest! {
             })
             .collect();
 
-        // Reference: the per-party threaded runner on everything at once.
-        let flat: Vec<(Vec<u64>, Vec<u64>)> = sessions
+        // Reference: the revealed bits depend only on the values.
+        let expected: Vec<Vec<Vec<bool>>> = sessions
             .iter()
-            .flatten()
-            .flatten()
-            .cloned()
+            .map(|requests| requests.iter().map(|pairs| plain_bits(pairs)).collect())
             .collect();
-        let reference = if flat.is_empty() {
-            Vec::new()
-        } else {
-            run_comparisons(parties, &flat, seed).unwrap()
-        };
-        let mut expected: Vec<Vec<Vec<bool>>> = Vec::new();
-        let mut offset = 0;
-        for requests in &sessions {
-            let mut per_request = Vec::new();
-            for pairs in requests {
-                per_request.push(reference[offset..offset + pairs.len()].to_vec());
-                offset += pairs.len();
-            }
-            expected.push(per_request);
-        }
+        let total_duels: usize = sessions.iter().flatten().map(Vec::len).sum();
 
         // Scheduler run: one thread per session, each deciding per request
         // (seeded) whether to wait immediately or defer the ticket, and in
         // which order to redeem the deferred ones.
-        let sched = BatchScheduler::threaded(parties, seed ^ 0x5EED);
+        let sched =
+            BatchScheduler::lockstep(SacEngine::new(parties, SacBackend::Real, seed ^ 0x5EED));
         let results: Vec<Vec<(usize, Vec<bool>)>> = std::thread::scope(|scope| {
             let handles: Vec<_> = sessions
                 .iter()
@@ -238,7 +230,7 @@ proptest! {
                 prop_assert_eq!(
                     bits,
                     &expected[si][*ri],
-                    "session {} request {} diverged from the flat runner",
+                    "session {} request {} diverged from the plain comparison",
                     si,
                     *ri
                 );
@@ -246,48 +238,22 @@ proptest! {
         }
         // Every non-empty request flowed through a merged round, and the
         // scheduler's duel accounting saw exactly the flattened workload.
-        prop_assert_eq!(sched.stats().coalesced_duels, flat.len() as u64);
+        prop_assert_eq!(sched.stats().coalesced_duels, total_duels as u64);
     }
 }
 
 #[test]
-fn scheduler_empty_and_single_duel_edges_match_the_flat_runner() {
-    use fedroad_mpc::threaded::run_comparisons;
+fn scheduler_empty_and_single_duel_edges_match_plain_comparison() {
     use fedroad_mpc::BatchScheduler;
 
-    let sched = BatchScheduler::threaded(3, 9);
+    let sched = BatchScheduler::lockstep(SacEngine::new(3, SacBackend::Real, 9));
     let session = sched.register();
     // Empty batch: resolves immediately, occupies no protocol round.
     assert_eq!(session.compare_many(&[]).unwrap(), Vec::<bool>::new());
     assert_eq!(sched.stats().rounds, 0);
-    // Single duel: one round, bits identical to the flat runner's.
+    // Single duel: one round, bits identical to the plain comparison.
     let pair = vec![(vec![5u64, 6, 7], vec![1u64, 2, 300])];
-    assert_eq!(
-        session.compare_many(&pair).unwrap(),
-        run_comparisons(3, &pair, 9).unwrap()
-    );
+    assert_eq!(session.compare_many(&pair).unwrap(), plain_bits(&pair));
     assert_eq!(sched.stats().rounds, 1);
     assert_eq!(sched.stats().coalesced_duels, 1);
-}
-
-#[test]
-fn threaded_runner_agrees_with_plain_comparison_on_many_batches() {
-    // Threads are expensive per proptest case; run one structured sweep.
-    use fedroad_mpc::threaded::run_comparisons;
-    use rand::Rng;
-    let mut rng = ChaCha12Rng::seed_from_u64(5);
-    for n in [2usize, 4] {
-        let inputs: Vec<(Vec<u64>, Vec<u64>)> = (0..60)
-            .map(|_| {
-                (
-                    (0..n).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
-                    (0..n).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
-                )
-            })
-            .collect();
-        let bits = run_comparisons(n, &inputs, 77).unwrap();
-        for ((a, b), bit) in inputs.iter().zip(&bits) {
-            assert_eq!(*bit, a.iter().sum::<u64>() < b.iter().sum::<u64>());
-        }
-    }
 }

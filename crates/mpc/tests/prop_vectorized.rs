@@ -13,7 +13,7 @@ use fedroad_mpc::binary::{
 };
 use fedroad_mpc::compare::{less_than_zero_many, less_than_zero_many_scalar};
 use fedroad_mpc::dealer::{reconstruct_additive, reconstruct_xor, xor_shares, Dealer};
-use fedroad_mpc::pool::{PoolConfig, PooledDealer};
+use fedroad_mpc::pool::PoolConfig;
 use fedroad_mpc::{Mesh, SacBackend, SacEngine};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
@@ -172,22 +172,4 @@ fn empty_batches_agree_across_every_kernel_pair() {
     assert_eq!(mesh.stats().rounds, 0);
     assert_eq!(mesh.stats().bytes, 0);
     assert_eq!(dealer.stats().triple_words, 0);
-}
-
-#[test]
-fn pooled_and_inline_threaded_runs_agree() {
-    use fedroad_mpc::threaded::{run_comparisons, run_comparisons_from};
-    let mut rng = ChaCha12Rng::seed_from_u64(7);
-    let inputs: Vec<(Vec<u64>, Vec<u64>)> = (0..40)
-        .map(|_| {
-            (
-                (0..3).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
-                (0..3).map(|_| rng.gen_range(0..1u64 << 40)).collect(),
-            )
-        })
-        .collect();
-    let inline_bits = run_comparisons(3, &inputs, 13).unwrap();
-    let mut pool = PooledDealer::new(3, 13, PoolConfig::default());
-    let pooled_bits = run_comparisons_from(&mut pool, &inputs, 13).unwrap();
-    assert_eq!(inline_bits, pooled_bits);
 }

@@ -101,25 +101,3 @@ fn panicking_submitter_cancels_its_pending_request() {
         assert!(sched.stats().rounds >= 1);
     });
 }
-
-#[test]
-fn threaded_backend_survives_a_panicking_waiter_too() {
-    with_watchdog("threaded backend waiter panic", || {
-        let sched = BatchScheduler::threaded(3, 103);
-        let doomed = sched.register();
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(move || {
-                let _held = doomed;
-                std::thread::sleep(Duration::from_millis(100));
-                panic!("waiter dies mid-round");
-            });
-            let survivor = sched.register();
-            let pairs = vec![(vec![1, 2, 3], vec![4, 5, 6])];
-            let bits = survivor
-                .compare_many(&pairs)
-                .expect("the surviving session's round must execute");
-            assert_eq!(bits, vec![true]);
-            assert!(handle.join().is_err());
-        });
-    });
-}

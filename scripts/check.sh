@@ -27,8 +27,8 @@ fi
 echo "==> cargo fmt --check"
 cargo fmt --check
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> fedroad-lint (secret-hygiene static analysis, SARIF to target/)"
 cargo run -q -p fedroad-lint -- --sarif-out target/lint.sarif
@@ -128,16 +128,14 @@ cargo run -q --release -p fedroad-bench --bin obs_diff -- \
 cargo run -q --release -p fedroad-bench --bin obs_diff -- \
   BENCH_compare.json results/BENCH_compare.json
 
-# Concurrency checks for the threaded protocol runner, the cross-query round
-# scheduler, and the batch executor come in two layers: statically, the
+# Concurrency checks for the cross-query round scheduler, the dealer pool,
+# and the batch executor come in two layers: statically, the
 # fedroad-lint lock-set rules R10-R13 run as part of the lint step above;
 # dynamically, ThreadSanitizer needs a nightly toolchain and rebuilt std, so
 # it is opt-in here (CI runs it as a separate *blocking* job with per-step
 # timeouts — see .github/workflows/ci.yml `tsan`). On a machine with nightly:
 #
 #   export RUSTFLAGS="-Zsanitizer=thread"
-#   cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
-#     -p fedroad-mpc threaded
 #   cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \
 #     -p fedroad-mpc scheduler
 #   cargo +nightly test -Zbuild-std --target x86_64-unknown-linux-gnu \

@@ -7,7 +7,7 @@
 //!
 //! | crate | contents |
 //! |-------|----------|
-//! | [`graph`] (`fedroad-graph`) | road networks, generators, DIMACS parsing, traffic models, local shortest-path algorithms, contraction hierarchies, landmarks |
+//! | [`graph`] (`fedroad-graph`) | road networks, generators, DIMACS parsing, traffic models, local Dijkstra, the weight-independent contraction order, landmarks |
 //! | [`mpc`] (`fedroad-mpc`) | secret-sharing MPC engine: dealer preprocessing, comparison circuits, the Fed-SAC operator, cost accounting, security audits |
 //! | [`queue`] (`fedroad-queue`) | comparison-optimized priority queues: counting heap, leftist heap, and the Tournament Merge tree |
 //! | [`core`] (`fedroad-core`) | the federation itself: Fed-SSSP/SPSP, the federated shortcut index, federated lower bounds, the query engine, the executable security argument |

@@ -1,15 +1,13 @@
-//! End-to-end flight-recorder tests: the black-box dump must appear on
-//! the failure paths (a party panic inside the threaded protocol runner,
-//! a protocol error surfacing in the scheduler, a process panic through
-//! the installed hook) and must be *redacted* — panic messages and secret
-//! values never reach the file; only the closed `ObsValue` event payloads
-//! and static reason strings do.
+//! End-to-end flight-recorder tests: the black-box dump must appear when a
+//! process panics through the installed hook and must be *redacted* —
+//! panic messages and secret values never reach the file; only the closed
+//! `ObsValue` event payloads and static reason strings do. The scheduler's
+//! protocol-error dump is covered by a unit test in
+//! `fedroad-mpc::scheduler`, the only place that can reach that branch.
 //!
 //! Own test binary: these tests flip the global flight sink, so they
 //! serialize on [`GATE`] and nothing else in the process records.
 
-use fedroad::mpc::threaded::{run_comparisons_with_fault, PartyFault};
-use fedroad::mpc::ProtocolError;
 use fedroad::obs::flight;
 use fedroad::obs::ObsValue;
 use std::path::PathBuf;
@@ -31,60 +29,6 @@ fn read_dump(reason: &str) -> String {
     let path = flight::dump_path(reason);
     std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("black box {} must exist: {e}", path.display()))
-}
-
-#[test]
-fn party_panic_dumps_a_redacted_black_box() {
-    let _g = GATE.lock().unwrap_or_else(|p| p.into_inner());
-    fresh_flight("party-panicked");
-    // Events leading up to the failure — these should be in the box.
-    fedroad::obs::instant("test.before_failure", &[("queries", ObsValue::Count(2))]);
-
-    let inputs = vec![(vec![10u64, 20, 30], vec![15u64, 15, 15])];
-    let fault = PartyFault {
-        party: 1,
-        before_comparison: 0,
-        message: "secret-bearing panic payload 0xDEADBEEF",
-    };
-    let err = run_comparisons_with_fault(3, &inputs, 5, Some(fault)).unwrap_err();
-    assert!(matches!(err, ProtocolError::PartyPanicked { party: 1, .. }));
-
-    let text = read_dump("party-panicked");
-    let events = flight::validate_dump(&text).expect("well-formed black box");
-    assert!(events >= 1, "ring events must reach the dump:\n{text}");
-    assert!(text.contains("\"reason\":\"party-panicked\""));
-    assert!(text.contains("test.before_failure"));
-    // Redaction: the panic payload must never appear in the black box.
-    assert!(
-        !text.contains("DEADBEEF") && !text.contains("secret-bearing"),
-        "panic payload leaked into the black box:\n{text}"
-    );
-    flight::disable();
-}
-
-#[test]
-fn scheduler_protocol_error_dumps_a_black_box() {
-    let _g = GATE.lock().unwrap_or_else(|p| p.into_inner());
-    fresh_flight("protocol-error");
-
-    // A zero-party threaded scheduler passes prevalidation (every request
-    // matches the 0-silo shape) but the protocol execution itself fails
-    // with TooFewParties — exactly the merged-round error path.
-    let sched = fedroad::BatchScheduler::threaded(0, 7);
-    let session = sched.register();
-    let err = session.compare_many(&[(vec![], vec![])]).unwrap_err();
-    assert_eq!(err, ProtocolError::TooFewParties { got: 0 });
-
-    let text = read_dump("protocol-error");
-    flight::validate_dump(&text).expect("well-formed black box");
-    assert!(text.contains("\"reason\":\"protocol-error\""));
-    // The round span made it into the ring even though the aggregate
-    // recorder is off — the flight sink captures timeline events alone.
-    assert!(
-        text.contains("sched.round"),
-        "round span missing from the black box:\n{text}"
-    );
-    flight::disable();
 }
 
 #[test]
